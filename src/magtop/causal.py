@@ -27,61 +27,48 @@ class CausalPoint(NamedTuple):
     point: int
 
 
-def lightlike_sequences(space, a, b, l):
-    """All sequences a -> b with steps summing to exactly l, lexicographic."""
+def walks(space, a, l, b=None, successors=None):
+    """All sequences from a whose steps sum to exactly l, lexicographic.
+
+    A sequence ends at b, or at any point when b is None.  successors(seq)
+    lists, in increasing order, the points that may follow the partial
+    sequence seq; by default that is every point other than its last.
+    """
     l = Fraction(l)
-    if l < 0:
-        return []
     d = space.dist
     n = space.n
+    if successors is None:
+        others = [[y for y in range(n) if y != x] for x in range(n)]
+
+        def successors(seq):
+            return others[seq[-1]]
+
+    # least length still needed after reaching y; a step is taken only if
+    # it leaves at least that much, so rem reaches 0 only at b
+    to_end = [Fraction(0) if b is None else d[y][b] for y in range(n)]
     out = []
     seq = [a]
 
     def extend(x, rem):
-        if rem == 0 and x == b:
+        if rem == 0:
             out.append(tuple(seq))
-        if rem <= 0:
             return
-        for y in range(n):
-            if y == x:
-                continue
+        for y in successors(seq):
             step = d[x][y]
-            if step > rem or d[y][b] > rem - step:
+            if step > rem or to_end[y] > rem - step:
                 continue
             seq.append(y)
             extend(y, rem - step)
             seq.pop()
 
-    if d[a][b] <= l:
+    if to_end[a] <= l:
         extend(a, l)
     return out
 
 
-def sequences_up_to(space, a, b, budget):
-    """All sequences a -> b with length <= budget, as (seq, length) pairs."""
-    budget = Fraction(budget)
-    d = space.dist
-    n = space.n
-    out = []
-    seq = [a]
-
-    def extend(x, used):
-        if x == b:
-            out.append((tuple(seq), used))
-        rem = budget - used
-        for y in range(n):
-            if y == x:
-                continue
-            step = d[x][y]
-            if step > rem or d[y][b] > rem - step:
-                continue
-            seq.append(y)
-            extend(y, used + step)
-            seq.pop()
-
-    if d[a][b] <= budget:
-        extend(a, Fraction(0))
-    return out
+def lightlike_sequences(space, a, b, l):
+    """All sequences a -> b with steps summing to exactly l, lexicographic."""
+    return walks(space, a, l, b)
 
 
 def _reachable_lengths(space, start, budget):
@@ -130,6 +117,25 @@ def seq_time_stamps(space, seq):
     return tuple(chain)
 
 
+def order_chains(members, lt):
+    """All nonempty chains of the strict order lt on members, each listed
+    from its least element up, depth first in the order of members."""
+    greater = {u: [v for v in members if lt(u, v)] for u in members}
+    out = []
+    chain = []
+
+    def extend(u):
+        chain.append(u)
+        out.append(tuple(chain))
+        for v in greater[u]:
+            extend(v)
+        chain.pop()
+
+    for u in members:
+        extend(u)
+    return out
+
+
 class CausalPoset:
     """Finite subposet of X x R under (x,t) <= (y,s) iff d(x,y) <= s - t."""
 
@@ -150,23 +156,7 @@ class CausalPoset:
 
     def chains(self):
         """All nonempty chains, each sorted by (time, point)."""
-        pts = self.points
-        greater = {
-            u: [v for v in pts if self.lt(u, v)] for u in pts
-        }
-        out = []
-        chain = []
-
-        def extend(u):
-            chain.append(u)
-            out.append(tuple(chain))
-            for v in greater[u]:
-                extend(v)
-            chain.pop()
-
-        for u in pts:
-            extend(u)
-        return out
+        return order_chains(self.points, self.lt)
 
     def validate(self):
         # reflexivity / antisymmetry / transitivity on the carrier
@@ -263,9 +253,6 @@ class SimplicialComplex:
 
     def dims(self):
         return sorted({len(s) - 1 for s in self._sims})
-
-    def of_dim(self, k):
-        return sorted(s for s in self._sims if len(s) == k + 1)
 
     def __le__(self, other):
         if self.is_void:
@@ -378,37 +365,6 @@ def inner_pair(space, a, b, l):
         sub = SimplicialComplex.of(short)
     else:
         sub = SimplicialComplex.empty()
-    return SimplicialPair(total, sub)
-
-
-def interval_complex(space, a, b):
-    """Order complex of the closed interval [a,b], relative to the chains
-    missing one of the endpoints.  Requires a != b."""
-    from .metric import interval
-
-    assert a != b, "interval pair needs distinct endpoints"
-    poset = interval(space, a, b, "closed")
-    members = poset.carrier
-    greater = {
-        x: [y for y in members if y != x and poset.le(x, y)] for x in members
-    }
-    out = []
-    chain = []
-
-    def extend(x):
-        chain.append(x)
-        out.append(tuple(chain))
-        for y in greater[x]:
-            extend(y)
-        chain.pop()
-
-    for x in members:
-        extend(x)
-    chains = [tuple(sorted(c)) for c in out]
-    total = SimplicialComplex.of(chains)
-    sub = SimplicialComplex.of(
-        [c for c in chains if a not in c or b not in c]
-    )
     return SimplicialPair(total, sub)
 
 

@@ -3,13 +3,14 @@
 Subcommands parse space documents, run the exact computations, and print
 deterministic tables or JSON.  Exit codes are part of the contract:
 0 pass, 1 check mismatch, 2 parse problem, 3 metric-axiom violation,
-4 unresolvable label, 5 hypothesis unmet.
+4 unresolvable label, 5 hypothesis unmet, 141 output closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -63,6 +64,7 @@ PARSE_CODE = 2
 METRIC_CODE = 3
 LABEL_CODE = 4
 REFUSED_CODE = 5
+PIPE_CODE = 141  # what a shell reports for a process ended by SIGPIPE
 
 
 def _load_document(ref):
@@ -539,9 +541,21 @@ def _add_common(sub, jobs=False):
     )
     if jobs:
         sub.add_argument(
-            "--jobs", type=int, default=1,
+            "--jobs", type=_jobs_arg, default=1,
             help="worker processes for per-pair work",
         )
+
+
+def _jobs_arg(text):
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % (text,)
+        )
+    return jobs
 
 
 def build_parser():
@@ -625,7 +639,15 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (e.g. "| head"); send the rest of stdout to
+        # devnull so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = PIPE_CODE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

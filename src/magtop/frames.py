@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .causal import InvalidLength, SimplicialComplex, SimplicialPair
+from .causal import (
+    InvalidLength,
+    SimplicialComplex,
+    SimplicialPair,
+    order_chains,
+    walks,
+)
 from .homology import homology, relative_chain_complex
 from .metric import (
     MetricError,
@@ -68,68 +74,37 @@ def _four_cut_guard(space, l):
         )
 
 
+def _frame_steps(space, steps):
+    """Successor rule of frames: steps[x] lists the allowed steps out of x,
+    and a step that would leave x smooth is refused."""
+    d = space.dist
+
+    def successors(seq):
+        x = seq[-1]
+        if len(seq) == 1:
+            return steps[x]
+        w = seq[-2]
+        return [y for y in steps[x] if d[w][x] + d[x][y] != d[w][y]]
+
+    return successors
+
+
 def singular_sequences(space, a, b, l):
     """All frames from a to b of exact length l, refused at or past m_X."""
     l = Fraction(l)
     if l < 0:
         raise InvalidLength("negative length %s" % (l,))
     _four_cut_guard(space, l)
-    if l == 0:
-        return [Frame((a,))] if a == b else []
-    d = space.dist
     n = space.n
-    out = []
-    seq = [a]
-
-    def extend(rem):
-        x = seq[-1]
-        for y in range(n):
-            if y == x:
-                continue
-            step = d[x][y]
-            if step > rem or d[y][b] > rem - step:
-                continue
-            if len(seq) >= 2:
-                w = seq[-2]
-                if d[w][x] + d[x][y] == d[w][y]:
-                    continue  # x smooth here, not a frame point
-            seq.append(y)
-            if y == b and step == rem:
-                out.append(Frame(tuple(seq)))
-            extend(rem - step)
-            seq.pop()
-
-    extend(l)
-    return out
-
-
-def _open_interval_complex(space, x, y):
-    poset = interval(space, x, y, "open")
-    members = poset.carrier
-    if not members:
-        return SimplicialComplex.empty()
-    greater = {
-        u: [v for v in members if v != u and poset.le(u, v)] for u in members
-    }
-    chains = []
-    chain = []
-
-    def extend(u):
-        chain.append(u)
-        chains.append(tuple(sorted(chain)))
-        for v in greater[u]:
-            extend(v)
-        chain.pop()
-
-    for u in members:
-        extend(u)
-    return SimplicialComplex.of(chains)
+    steps = [[y for y in range(n) if y != x] for x in range(n)]
+    return [Frame(s) for s in walks(space, a, l, b, _frame_steps(space, steps))]
 
 
 def _interval_factor(space, x, y):
     """Reduced Betti of the open-interval order complex, raised two degrees."""
-    cpx = _open_interval_complex(space, x, y)
-    pair = SimplicialPair(cpx, SimplicialComplex.void())
+    poset = interval(space, x, y, "open")
+    chains = order_chains(poset.carrier, lambda u, v: u != v and poset.le(u, v))
+    pair = SimplicialPair(SimplicialComplex.of(chains), SimplicialComplex.void())
     summary = homology(relative_chain_complex(pair, augmented=True))
     return {k + 2: r for k, r in summary.betti_map().items()}, summary
 
@@ -163,36 +138,15 @@ def thin_frames(space, l):
     l = Fraction(l)
     if l < 0:
         raise InvalidLength("negative length %s" % (l,))
-    d = space.dist
     n = space.n
-    thin_step = {}
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            thin_step[x, y] = not interval(space, x, y, "open").carrier
-    out = []
-    seq = []
-
-    def extend(rem):
-        if rem == 0:
-            out.append(Frame(tuple(seq)))
-        x = seq[-1]
-        for y in range(n):
-            if y == x or d[x][y] > rem or not thin_step[x, y]:
-                continue
-            if len(seq) >= 2:
-                w = seq[-2]
-                if d[w][x] + d[x][y] == d[w][y]:
-                    continue
-            seq.append(y)
-            extend(rem - d[x][y])
-            seq.pop()
-
-    for a in range(n):
-        seq = [a]
-        extend(l)
-    return out
+    thin = [
+        [y for y in range(n) if y != x and not interval(space, x, y, "open").carrier]
+        for x in range(n)
+    ]
+    successors = _frame_steps(space, thin)
+    return [
+        Frame(s) for a in range(n) for s in walks(space, a, l, successors=successors)
+    ]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from .causal import (
     order_complex_pair,
     pair_achievable_lengths,
 )
-from .metric import seq_length
 
 
 class BoundarySquareNonzero(AssertionError):
@@ -215,9 +214,6 @@ class HomologySummary:
     def torsion_at(self, k):
         return list(dict(self.torsion).get(k, ()))
 
-    def total_rank(self):
-        return sum(r for _, r in self.betti)
-
     def euler(self):
         return sum((-1) ** k * r for k, r in self.betti)
 
@@ -262,36 +258,40 @@ def homology(cc):
     return HomologySummary.build(betti, torsion)
 
 
+def face_complex(cells):
+    """Chain complex generated by cells, a cell of n entries in degree n - 1.
+
+    The boundary deletes entry i with sign (-1)^i and keeps the face exactly
+    when it is itself a generator; every other face counts as zero.
+    """
+    basis = {}
+    for s in cells:
+        basis.setdefault(len(s) - 1, []).append(s)
+    index = {}
+    for gens in basis.values():
+        gens.sort()
+        index.update((s, i) for i, s in enumerate(gens))
+    boundary = {}
+    for k, cols in basis.items():
+        mat = [[0] * len(cols) for _ in basis.get(k - 1, ())]
+        for c, s in enumerate(cols):
+            for i in range(len(s)):
+                r = index.get(s[:i] + s[i + 1:])
+                if r is not None:
+                    mat[r][c] += (-1) ** i
+        boundary[k] = mat
+    return ChainComplex(basis, boundary)
+
+
 def magnitude_chain_complex(space, a, b, l):
     """Chain complex of sequences a -> b of length exactly l.
 
     Degree-k generators are the (k+1)-point sequences; the boundary drops
-    one interior point at a time with alternating signs, sending a term to
-    zero whenever the drop shortens the sequence.
+    one point at a time with alternating signs.  A drop that shortens the
+    sequence, as every endpoint drop does, leaves no generator and so
+    counts as zero.
     """
-    l = Fraction(l)
-    seqs = lightlike_sequences(space, a, b, l)
-    basis = {}
-    for s in seqs:
-        basis.setdefault(len(s) - 1, []).append(s)
-    for k in basis:
-        basis[k].sort()
-    index = {k: {s: i for i, s in enumerate(v)} for k, v in basis.items()}
-    boundary = {}
-    for k in sorted(basis):
-        cols = basis[k]
-        rows = basis.get(k - 1, [])
-        mat = [[0] * len(cols) for _ in range(len(rows))]
-        if rows:
-            lower = index[k - 1]
-            for c, s in enumerate(cols):
-                for i in range(1, len(s) - 1):
-                    face = s[:i] + s[i + 1:]
-                    if seq_length(space, face) != l:
-                        continue
-                    mat[lower[face]][c] += (-1) ** i
-        boundary[k] = mat
-    return ChainComplex(basis, boundary)
+    return face_complex(lightlike_sequences(space, a, b, l))
 
 
 def relative_chain_complex(pair, augmented=False):
@@ -301,38 +301,12 @@ def relative_chain_complex(pair, augmented=False):
     augmented, the empty simplex sits in degree -1 exactly if total is
     nonvoid while sub is void (otherwise the sub side already swallows it).
     """
-    total, sub = pair.total, pair.sub
-    if total.is_void:
+    if pair.total.is_void:
         return ChainComplex({}, {})
-    basis = {}
-    for s in total.simplices():
-        if s not in sub:
-            basis.setdefault(len(s) - 1, []).append(s)
-    for k in basis:
-        basis[k].sort()
-    keep_empty = augmented and sub.is_void
-    if keep_empty:
-        basis[-1] = [()]
-    index = {k: {s: i for i, s in enumerate(v)} for k, v in basis.items()}
-    boundary = {}
-    for k in sorted(basis):
-        cols = basis[k]
-        rows = basis.get(k - 1, [])
-        mat = [[0] * len(cols) for _ in range(len(rows))]
-        if rows and k >= 0:
-            lower = index[k - 1]
-            for c, s in enumerate(cols):
-                if k == 0:
-                    if keep_empty:
-                        mat[lower[()]][c] += 1
-                    continue
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    if face in sub:
-                        continue
-                    mat[lower[face]][c] += (-1) ** i
-        boundary[k] = mat
-    return ChainComplex(basis, boundary)
+    cells = pair.relative_simplices()
+    if augmented and pair.sub.is_void:
+        cells.append(())
+    return face_complex(cells)
 
 
 @dataclass(frozen=True)

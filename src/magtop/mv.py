@@ -13,12 +13,16 @@ from fractions import Fraction
 
 from .causal import achievable_lengths, lightlike_sequences
 from .homology import (
-    ChainComplex,
     HomologySummary,
+    face_complex,
     homology,
     magnitude_homology_total,
 )
-from .metric import GluingSpec, restriction, seq_length
+from .metric import GluingSpec, is_smooth, restriction
+
+
+class FaceEscapedInterior(AssertionError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,10 @@ def interior_part_betti(gated, l):
 
     Works inside the h metric space: for each ordered endpoint pair, the
     generators are full-length sequences meeting h∖K, and boundary faces
-    either shorten or keep touching; a face that stayed full-length while
-    leaving the interior would contradict the gate inequality, so it is
-    asserted away.
+    either shorten or keep touching.  A face stays full-length when the
+    dropped point is smooth; if that point were the sequence's only one in
+    h∖K, the face would leave the interior, which the gate inequality rules
+    out, so it raises FaceEscapedInterior instead of counting as zero.
     """
     gated = _as_gated(gated)
     if isinstance(gated, NotGated):
@@ -76,38 +81,19 @@ def interior_part_betti(gated, l):
     l = Fraction(l)
     inside_k = frozenset(gated.base.k_in_h)
     total = HomologySummary()
-
-    def touches(seq):
-        return any(p not in inside_k for p in seq)
-
     for a in range(h.n):
         for b in range(h.n):
-            basis = {}
+            cells = []
             for seq in lightlike_sequences(h, a, b, l):
-                if touches(seq):
-                    basis.setdefault(len(seq) - 1, []).append(seq)
-            if not basis:
-                continue
-            for k in basis:
-                basis[k].sort()
-            index = {k: {s: i for i, s in enumerate(v)} for k, v in basis.items()}
-            boundary = {}
-            for k in sorted(basis):
-                cols = basis[k]
-                rows = basis.get(k - 1, [])
-                mat = [[0] * len(cols) for _ in range(len(rows))]
-                lower = index.get(k - 1, {})
-                for c, seq in enumerate(cols):
-                    for i in range(1, k):
-                        face = seq[:i] + seq[i + 1 :]
-                        if seq_length(h, face) != l:
-                            continue
-                        assert touches(face), (
-                            "full-length face escaped the interior"
-                        )
-                        mat[lower[face]][c] += (-1) ** i
-                boundary[k] = mat
-            total = total.plus(homology(ChainComplex(basis, boundary)))
+                outside = [i for i, p in enumerate(seq) if p not in inside_k]
+                if len(outside) == 1 and is_smooth(h, seq, outside[0]):
+                    raise FaceEscapedInterior(
+                        "full-length face of %r escaped the interior" % (seq,)
+                    )
+                if outside:
+                    cells.append(seq)
+            if cells:
+                total = total.plus(homology(face_complex(cells)))
     return total
 
 

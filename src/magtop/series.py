@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .causal import pair_achievable_lengths, sequences_up_to
+from .causal import lightlike_sequences, pair_achievable_lengths
 
 
 def _min_trunc(a, b):
@@ -212,9 +212,11 @@ def perturbative_inverse(space, a, b, lmax):
     """Signed sum over sequences: sum_k (-1)^k sum q^(length), length <= lmax."""
     lmax = Fraction(lmax)
     terms = {}
-    for seq, length in sequences_up_to(space, a, b, lmax):
-        sign = (-1) ** (len(seq) - 1)
-        terms[length] = terms.get(length, Fraction(0)) + sign
+    for length in pair_achievable_lengths(space, a, b, lmax):
+        terms[length] = sum(
+            (-1) ** (len(seq) - 1)
+            for seq in lightlike_sequences(space, a, b, length)
+        )
     return HahnPolynomial(terms, lmax)
 
 

@@ -19,9 +19,10 @@ from magtop import (
     lightlike_sequences,
     order_complex_pair,
     pair_achievable_lengths,
+    perturbative_inverse,
+    random_metric_space,
     seq_length,
     seq_time_stamps,
-    sequences_up_to,
 )
 
 F = Fraction
@@ -80,11 +81,19 @@ def test_lightlike_matches_naive_on_fractional_space():
             [1, F(3, 4), 0],
         ],
     )
-    for l in (F(1, 2), F(5, 4), F(9, 4), F(5, 2)):
-        for a in range(3):
-            for b in range(3):
-                got = lightlike_sequences(sp, a, b, l)
-                assert sorted(got) == naive_lightlike(sp, a, b, l)
+    cases = [(sp, (F(1, 2), F(5, 4), F(9, 4), F(5, 2)))]
+    # seeded random spaces: integer distances 1 and 2 give smooth points,
+    # the default denominators give many distinct fractional lengths
+    for den_max in (1, 6):
+        for seed in range(5):
+            rnd = random_metric_space(5, seed, den_max)
+            cases.append((rnd, achievable_lengths(rnd, 3)))
+    for space, lengths in cases:
+        for l in lengths:
+            for a in range(space.n):
+                for b in range(space.n):
+                    got = lightlike_sequences(space, a, b, l)
+                    assert got == naive_lightlike(space, a, b, l), (space, a, b, l)
 
 
 def test_lightlike_edge_cases():
@@ -95,15 +104,14 @@ def test_lightlike_edge_cases():
     assert lightlike_sequences(sp, 0, 1, F(1, 2)) == []
 
 
-def test_sequences_up_to_includes_constant():
+def test_perturbative_inverse_includes_constant():
     sp = unit_complete(2)
-    allseq = sequences_up_to(sp, 0, 0, F(2))
-    assert ((0,), F(0)) in allseq
-    assert ((0, 1, 0), F(2)) in allseq
-    assert all(length <= 2 for _, length in allseq)
-    assert ((1,), F(0)) not in allseq
-    # endpoints differ: no zero-length entry
-    assert all(length > 0 for _, length in sequences_up_to(sp, 0, 1, F(2)))
+    loop = perturbative_inverse(sp, 0, 0, F(2))
+    # the constant sequence (0,) alone, and (0, 1, 0) with sign +1
+    assert loop.terms == {F(0): 1, F(2): 1}
+    assert loop.truncation == 2
+    # endpoints differ: no zero-length term, (0, 1) with sign -1
+    assert perturbative_inverse(sp, 0, 1, F(2)).terms == {F(1): -1}
 
 
 def test_achievable_lengths_against_enumeration():

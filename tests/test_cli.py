@@ -1,9 +1,13 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import magtop
 from magtop import cli
 from magtop.series import EulerReport
 
@@ -224,6 +228,33 @@ def test_exit_parse_errors(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(capsys, ["lengths", str(bad), "--lmax", "1"])
     assert code == 2 and "invalid JSON" in err
+    for argv in (
+        ["homology", "fixture:k3", "--l", "1", "--jobs", "0"],
+        ["verify", "chain-iso", "fixture:k3", "--lmax", "1", "--jobs", "-3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "error: argument --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # the reader closes before any output, so every write hits a closed
+    # pipe, whether it happens inside a print or at the final flush
+    src = os.path.dirname(os.path.dirname(magtop.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "magtop.cli", "lengths", "fixture:k3", "--lmax", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.PIPE_CODE
+    assert err == b""
 
 
 def test_exit_metric_error(capsys, tmp_path):

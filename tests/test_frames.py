@@ -1,5 +1,6 @@
 """Tests for frame decomposition and the weighted Hasse realization."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,9 @@ from magtop.metric import (
     MetricError,
     MetricSpace,
     four_cuts,
+    interval,
     random_metric_space,
+    seq_length,
 )
 
 
@@ -92,6 +95,46 @@ def test_frames_are_idempotent():
         for b in range(x.n):
             for f in singular_sequences(x, a, b, 2):
                 assert frame_of(x, f.points).points == f.points
+
+
+def brute_sequences(x, lmax):
+    """Every sequence of length <= lmax, over all endpoints, by brute force,
+    as a map from length to the sorted sequences of that length."""
+    count = int(lmax / x.min_positive_distance()) + 1
+    out = {}
+    for k in range(1, count + 1):
+        for seq in itertools.product(range(x.n), repeat=k):
+            if all(p != q for p, q in zip(seq, seq[1:])):
+                length = seq_length(x, seq)
+                if length <= lmax:
+                    out.setdefault(length, []).append(seq)
+    return {l: sorted(seqs) for l, seqs in out.items()}
+
+
+def test_frames_match_brute_force_on_random_spaces():
+    # integer distances 1 and 2 make smooth points and nonempty intervals
+    for den_max in (1, 6):
+        for seed in range(5):
+            x = random_metric_space(5, seed, den_max)
+            m_x = four_cuts(x)[1]
+            brute = brute_sequences(x, 3)
+            assert sorted(brute) == achievable_lengths(x, 3)
+            for l, seqs in brute.items():
+                frames = [s for s in seqs if frame_of(x, s).points == s]
+                thin = [
+                    s for s in frames
+                    if all(not interval(x, p, q, "open").carrier
+                           for p, q in zip(s, s[1:]))
+                ]
+                got = sorted(f.points for f in thin_frames(x, l))
+                assert got == thin, (den_max, seed, l)
+                if l >= m_x:
+                    continue
+                for a in range(x.n):
+                    for b in range(x.n):
+                        want = [s for s in frames if (s[0], s[-1]) == (a, b)]
+                        got = [f.points for f in singular_sequences(x, a, b, l)]
+                        assert got == want, (den_max, seed, l, a, b)
 
 
 def test_prediction_matches_homology_on_fixtures():

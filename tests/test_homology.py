@@ -16,11 +16,14 @@ from magtop import (
     from_weighted_graph,
     homology,
     inner_pair,
+    lightlike_sequences,
     load_fixture,
     magnitude_chain_complex,
     magnitude_homology_total,
     pair_achievable_lengths,
+    random_metric_space,
     relative_chain_complex,
+    seq_length,
     smith_normal_form,
     space_from_doc,
     verify_chain_iso,
@@ -155,6 +158,45 @@ def test_magnitude_chain_complex_boundary_drops_interior():
     # diagonal pair: two bounces, boundary still zero
     cc = magnitude_chain_complex(sp, 0, 0, F(2))
     assert cc.rank(2) == 2
+
+
+def length_rule_boundaries(space, a, b, l):
+    """Boundary matrices by the interior-drop rule: a face counts unless
+    dropping the point shortens the sequence."""
+    basis = {}
+    for s in lightlike_sequences(space, a, b, l):
+        basis.setdefault(len(s) - 1, []).append(s)
+    boundary = {}
+    for k, cols in basis.items():
+        cols.sort()
+        rows = sorted(basis.get(k - 1, []))
+        mat = [[0] * len(cols) for _ in rows]
+        for c, s in enumerate(cols):
+            for i in range(1, len(s) - 1):
+                face = s[:i] + s[i + 1:]
+                if seq_length(space, face) != l:
+                    continue
+                mat[rows.index(face)][c] += (-1) ** i
+        boundary[k] = mat
+    return basis, boundary
+
+
+def test_boundaries_match_length_rule_on_random_spaces():
+    nonzero = 0
+    for den_max in (1, 6):
+        for seed in range(5):
+            sp = random_metric_space(5, seed, den_max)
+            for a in range(sp.n):
+                for b in range(sp.n):
+                    for l in pair_achievable_lengths(sp, a, b, F(3)):
+                        cc = magnitude_chain_complex(sp, a, b, l)
+                        basis, boundary = length_rule_boundaries(sp, a, b, l)
+                        assert cc.basis == basis
+                        assert cc.boundary == boundary, (den_max, seed, a, b, l)
+                        nonzero += sum(
+                            1 for mat in boundary.values() for row in mat for v in row if v
+                        )
+    assert nonzero  # the corpus exercises faces that keep the length
 
 
 def test_c4_antipodal_sphere_class():

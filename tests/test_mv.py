@@ -1,12 +1,17 @@
 """Tests for gated gluings and homology additivity."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import magtop
 from magtop.docs import gluing_from_doc, load_fixture
 from magtop.metric import MetricSpace, glue
 from magtop.mv import (
+    FaceEscapedInterior,
     GatedGluing,
     NotGated,
     check_gated,
@@ -72,6 +77,29 @@ def test_interior_part_betti_values():
     assert interior_part_betti(gl, 2).betti == ((2, 2),)
     # accepts the wrapped form too
     assert interior_part_betti(check_gated(gl), 2).betti == ((2, 2),)
+
+
+def test_escaped_face_raises_even_under_optimize():
+    # wrapping a gluing with neutral points skips the gate test; at length 2
+    # dropping h3, the only interior point of (p, h3, q), keeps the length
+    forced = GatedGluing(gluing_from_doc(load_fixture("sycamore_gluing")))
+    with pytest.raises(FaceEscapedInterior, match="escaped the interior"):
+        interior_part_betti(forced, 2)
+    script = (
+        "from magtop.docs import gluing_from_doc, load_fixture\n"
+        "from magtop.mv import GatedGluing, interior_part_betti\n"
+        "gl = gluing_from_doc(load_fixture('sycamore_gluing'))\n"
+        "interior_part_betti(GatedGluing(gl), 2)\n"
+    )
+    src = os.path.dirname(os.path.dirname(magtop.__file__))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert run.returncode == 1
+    assert "FaceEscapedInterior" in run.stderr
 
 
 def test_union_additivity_on_triangles():
