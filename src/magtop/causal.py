@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .metric import seq_length
-
 
 class InvalidLength(ValueError):
     pass
@@ -366,25 +364,3 @@ def inner_pair(space, a, b, l):
     else:
         sub = SimplicialComplex.empty()
     return SimplicialPair(total, sub)
-
-
-def disjoint_split(space, l):
-    """Blocks of points whose pairwise distance is <= l; sequences of
-    length <= l never cross blocks."""
-    n = space.n
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if space.dist[i][j] <= l:
-                parent[find(i)] = find(j)
-    blocks = {}
-    for i in range(n):
-        blocks.setdefault(find(i), []).append(i)
-    return sorted(frozenset(b) for b in blocks.values())

@@ -106,25 +106,21 @@ def _interval_factor(space, x, y):
     chains = order_chains(poset.carrier, lambda u, v: u != v and poset.le(u, v))
     pair = SimplicialPair(SimplicialComplex.of(chains), SimplicialComplex.void())
     summary = homology(relative_chain_complex(pair, augmented=True))
-    return {k + 2: r for k, r in summary.betti_map().items()}, summary
+    return {k + 2: r for k, r in summary.betti_map().items()}
 
 
 def framed_betti_prediction(space, a, b, l):
     """Predicted Betti numbers by summing convolved factors over frames."""
-    l = Fraction(l)
-    if l < 0:
-        raise InvalidLength("negative length %s" % (l,))
-    _four_cut_guard(space, l)
+    factors = {}
     prediction = {}
     for frame in singular_sequences(space, a, b, l):
         acc = {0: 1}
-        for i in range(1, len(frame.points)):
-            factor, _ = _interval_factor(
-                space, frame.points[i - 1], frame.points[i]
-            )
+        for step in zip(frame.points, frame.points[1:]):
+            if step not in factors:
+                factors[step] = _interval_factor(space, *step)
             nxt = {}
             for d1, r1 in acc.items():
-                for d2, r2 in factor.items():
+                for d2, r2 in factors[step].items():
                     nxt[d1 + d2] = nxt.get(d1 + d2, 0) + r1 * r2
             acc = nxt
         for k, r in acc.items():

@@ -7,8 +7,9 @@ over Python ints, so ranks, Betti numbers, and torsion are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .causal import (
     inner_pair,
@@ -26,8 +27,6 @@ class BoundarySquareNonzero(AssertionError):
 class SNFResult:
     diag: tuple  # invariant factors, positive, each dividing the next
     rank: int
-    u: tuple | None = None  # row transform, u * a * v diagonal
-    v: tuple | None = None
 
 
 def _mat_mul(a, b):
@@ -48,103 +47,81 @@ def _mat_mul(a, b):
     return out
 
 
-def smith_normal_form(matrix, transforms=False):
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def _pivot(rows):
+    """A nonzero of least absolute value, the first unit if there is one."""
+    best = None
+    for i, row in rows.items():
+        for j, v in row.items():
+            if best is None or abs(v) < abs(best[2]):
+                best = (i, j, v)
+                if v in (1, -1):
+                    return best
+    return best
 
-    Pivots are chosen by minimal absolute value; the resulting diagonal is
-    the chain of invariant factors.
+
+def smith_normal_form(matrix):
+    """Invariant factors of an integer matrix, by sparse elimination.
+
+    Rows are kept as {column: value} maps.  The pivot is a nonzero of least
+    absolute value; the other rows of its column are reduced against the
+    pivot row, and once the pivot stands alone in its column its own row is
+    reduced modulo the pivot (a column operation that changes no other
+    row).  A nonzero remainder is smaller than the pivot and so becomes the
+    next pivot; a pivot left alone in its row and column is recorded.  The
+    recorded non-unit pivots are brought into a divisor chain by gcd/lcm
+    exchange.
     """
-    a = [list(row) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if transforms else None
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)] if transforms else None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, mult):
-        arow = a[src]
-        drow = a[dst]
-        for j in range(cols):
-            drow[j] += mult * arow[j]
-        if u is not None:
-            us, ud = u[src], u[dst]
-            for j in range(rows):
-                ud[j] += mult * us[j]
-
-    def add_col(src, dst, mult):
-        for row in a:
-            row[dst] += mult * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += mult * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    t = 0
-    while True:
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if a[t][t] < 0:
-            negate_row(t)
-        dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t] % a[t][t] != 0:
-                add_row(t, i, -(a[i][t] // a[t][t]))
-                dirty = True
-        for j in range(t + 1, cols):
-            if a[t][j] % a[t][t] != 0:
-                add_col(t, j, -(a[t][j] // a[t][t]))
-                dirty = True
-        if dirty:
-            continue  # remainders became new, smaller pivot candidates
-        for i in range(t + 1, rows):
-            if a[i][t]:
-                add_row(t, i, -(a[i][t] // a[t][t]))
-        for j in range(t + 1, cols):
-            if a[t][j]:
-                add_col(t, j, -(a[t][j] // a[t][t]))
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
+    rows = {}
+    cols = {}
+    for i, row in enumerate(matrix):
+        entries = {j: v for j, v in enumerate(row) if v}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    units = 0
+    factors = []
+    while rows:
+        i, j, p = _pivot(rows)
+        prow = rows[i]
+        for k in cols[j] - {i}:
+            row = rows[k]
+            q = row[j] // p
+            for c, v in prow.items():
+                w = row.get(c, 0) - q * v
+                if w:
+                    row[c] = w
+                    cols[c].add(k)
+                elif c in row:
+                    del row[c]
+                    cols[c].discard(k)
+            if not row:
+                del rows[k]
+        if len(cols[j]) > 1:
             continue
-        t += 1
-    diag = tuple(a[i][i] for i in range(min(rows, cols)) if a[i][i] != 0)
+        for c in [c for c in prow if c != j]:
+            w = prow[c] % p
+            if w:
+                prow[c] = w
+            else:
+                del prow[c]
+                cols[c].discard(i)
+        if len(prow) > 1:
+            continue
+        del rows[i]
+        cols[j].discard(i)
+        if p in (1, -1):
+            units += 1
+        else:
+            factors.append(abs(p))
+    for a in range(len(factors)):
+        for b in range(a + 1, len(factors)):
+            g = gcd(factors[a], factors[b])
+            factors[a], factors[b] = g, factors[a] * factors[b] // g
+    diag = (1,) * units + tuple(factors)
     for i in range(1, len(diag)):
         assert diag[i] % diag[i - 1] == 0
-    return SNFResult(
-        diag=diag,
-        rank=len(diag),
-        u=tuple(tuple(r) for r in u) if transforms else None,
-        v=tuple(tuple(r) for r in v) if transforms else None,
-    )
+    return SNFResult(diag=diag, rank=len(diag))
 
 
 class ChainComplex:
@@ -369,23 +346,6 @@ def verify_suspension_shift(space, a, b, l):
             "MH %s vs shifted pair homology %s" % (lhs, shifted),
         )
     return VerifyReport(True, "shift matches: %s" % (lhs,))
-
-
-def betti_table(space, lmax, pairs=None):
-    """Betti/torsion table keyed by (l, a, b, k), over achievable lengths."""
-    lmax = Fraction(lmax)
-    if pairs is None:
-        pairs = [(a, b) for a in range(space.n) for b in range(space.n)]
-    table = {}
-    for a, b in pairs:
-        for l in pair_achievable_lengths(space, a, b, lmax):
-            summary = homology(magnitude_chain_complex(space, a, b, l))
-            for k, r in summary.betti:
-                table[(l, a, b, k)] = (r, tuple(summary.torsion_at(k)))
-            for k, f in summary.torsion:
-                if (l, a, b, k) not in table:
-                    table[(l, a, b, k)] = (0, f)
-    return table
 
 
 def magnitude_homology_total(space, l):

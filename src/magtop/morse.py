@@ -507,15 +507,29 @@ def verify_sycamore(twist, lmax):
         images = {}
         for k, cells in crit_x.items():
             imgs = set()
+            stretched = unreversed = 0
             for stamped in cells:
                 seq = tuple(p for _, p in stamped)
                 img = sycamore_tau(twist, seq)
-                assert seq_length(y, img) == l, "twist image changed length"
-                assert sycamore_tau(rev, img) == seq, (
-                    "reverse twist fails to invert"
-                )
+                if seq_length(y, img) != l:
+                    stretched += 1
+                elif sycamore_tau(rev, img) != seq:
+                    unreversed += 1
                 imgs.add(seq_time_stamps(y, img))
-            assert len(imgs) == len(cells), "twist map is not injective"
+            if stretched:
+                problems.append(
+                    "length %s dim %d: %d twist images change length"
+                    % (l, k, stretched)
+                )
+            if unreversed:
+                problems.append(
+                    "length %s dim %d: reverse twist fails to invert %d cells"
+                    % (l, k, unreversed)
+                )
+            if len(imgs) != len(cells):
+                problems.append(
+                    "length %s dim %d: twist map is not injective" % (l, k)
+                )
             images[k] = imgs
         dims = sorted(set(crit_x) | set(crit_y) | set(images))
         for k in dims:
@@ -527,15 +541,17 @@ def verify_sycamore(twist, lmax):
                 problems.append(
                     "length %s dim %d: %d cells vs %d" % (l, k, cx, cy)
                 )
-        for space, gspec in ((x, twist.x), (y, twist.y)):
-            cells = lightlike_simplices(space, l)
+        for side, gspec, crit in (("x", twist.x, crit_x), ("y", twist.y, crit_y)):
+            cells = lightlike_simplices(gspec.space, l)
             light = _by_dim(cells)
-            crit = crit_x if space is x else crit_y
             alt_light = sum((-1) ** k * len(v) for k, v in light.items())
             alt_crit = sum((-1) ** k * len(v) for k, v in crit.items())
-            assert alt_light == alt_crit, (
-                "matched pairs fail to cancel in the Euler count"
-            )
+            if alt_light != alt_crit:
+                problems.append(
+                    "length %s in %s: matched pairs fail to cancel in the "
+                    "Euler count, %d over all cells vs %d over critical ones"
+                    % (l, side, alt_light, alt_crit)
+                )
             matching = projecting_matching(gspec, l)
             if not verify_acyclic(cells, matching):
                 problems.append("cyclic matching at length %s" % (l,))

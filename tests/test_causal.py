@@ -11,7 +11,6 @@ from magtop import (
     SimplicialComplex,
     SimplicialPair,
     achievable_lengths,
-    disjoint_split,
     essential_poset,
     from_distance_matrix,
     from_weighted_graph,
@@ -254,28 +253,6 @@ def test_inner_pair_short_side():
     assert pair.sub.state == "nonempty"
     short = set(pair.sub.simplices())
     assert (CausalPoint(F(1), 2),) in short
-
-
-def test_disjoint_split_blocks():
-    far = from_distance_matrix(
-        ("a", "b", "c", "d"),
-        [
-            [0, 1, 5, 5],
-            [1, 0, 5, 5],
-            [5, 5, 0, 1],
-            [5, 5, 1, 0],
-        ],
-    )
-    assert disjoint_split(far, F(1)) == sorted(
-        [frozenset({0, 1}), frozenset({2, 3})]
-    )
-    assert disjoint_split(far, F(5)) == [frozenset({0, 1, 2, 3})]
-    # sequences of length <= 1 never cross the blocks
-    for a in range(4):
-        for b in range(4):
-            for seq in lightlike_sequences(far, a, b, F(1)):
-                blocks = [blk for blk in disjoint_split(far, F(1)) if a in blk]
-                assert all(p in blocks[0] for p in seq)
 
 
 def test_constant_poset_chain_has_no_repeats():

@@ -266,14 +266,21 @@ def test_hasse_input_validation():
 
 
 def test_hasse_realizes_reduced_homology():
-    cases = [
-        ([("a", "b"), ("b", "c"), ("a", "c")], ((3, 1),)),
-        ([("a",)], ()),
-        ([("a",), ("b",)], ((2, 1),)),
+    # the 6-vertex, 10-triangle RP^2, whose reduced homology is Z/2 in degree 1
+    rp2 = [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+        (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
     ]
-    for facets, betti in cases:
+    cases = [
+        ([("a", "b"), ("b", "c"), ("a", "c")], ((3, 1),), ()),
+        ([("a",)], (), ()),
+        ([("a",), ("b",)], ((2, 1),), ()),
+        (rp2, (), ((3, (2,)),)),
+    ]
+    for facets, betti, torsion in cases:
         hg = hasse_graph(facets)
         a = hg.space.index(hg.zero)
         b = hg.space.index(hg.one)
         summary = homology(magnitude_chain_complex(hg.space, a, b, hg.l))
         assert summary.betti == betti
+        assert summary.torsion == torsion

@@ -1,11 +1,16 @@
 """Tests for the discrete vector field over glued spaces."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from magtop.docs import gluing_from_doc, load_fixture
+import magtop
+from magtop import morse
+from magtop.docs import gluing_from_doc, load_fixture, twist_from_doc
 from magtop.homology import magnitude_homology_total
 from magtop.metric import MetricSpace
 from magtop.morse import (
@@ -304,6 +309,46 @@ def test_reverse_twist_round_trip():
     back = rev.reverse()
     assert back.alpha == tw.alpha and back.k_in_h == tw.k_in_h
     assert verify_sycamore(tw, 1)
+
+
+DROP_CRITICAL_EDGE = """
+def dropped(space, l):
+    cells = full(space, l)
+    if l == 3:
+        # a two-point sequence has no interior point, so it is critical
+        cells.remove(next(c for c in cells if len(c) == 2))
+    return cells
+"""
+
+
+def test_uncancelled_euler_count_fails_even_under_optimize(monkeypatch):
+    scope = {"full": lightlike_simplices}
+    exec(DROP_CRITICAL_EDGE, scope)
+    monkeypatch.setattr(morse, "lightlike_simplices", scope["dropped"])
+    rep = verify_sycamore(twist_from_doc(load_fixture("sycamore_twist")), 3)
+    assert not rep
+    assert rep.detail.startswith(
+        "length 3 in x: matched pairs fail to cancel in the Euler count"
+    )
+    script = (
+        "from magtop import morse\n"
+        "from magtop.docs import load_fixture, twist_from_doc\n"
+        "full = morse.lightlike_simplices\n"
+        + DROP_CRITICAL_EDGE
+        + "morse.lightlike_simplices = dropped\n"
+        "tw = twist_from_doc(load_fixture('sycamore_twist'))\n"
+        "rep = morse.verify_sycamore(tw, 3)\n"
+        "print(rep.ok, rep.detail)\n"
+    )
+    src = os.path.dirname(os.path.dirname(magtop.__file__))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("False length 3 in x: matched pairs fail")
 
 
 def test_twist_rejections():
