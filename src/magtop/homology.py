@@ -371,15 +371,23 @@ def verify_kunneth(x, y, lmax):
     prod, pidx = metric_product(x, y)
 
     def factor_table(space):
-        tab = {}
-        for a in range(space.n):
-            for b in range(space.n):
-                for l in pair_achievable_lengths(space, a, b, lmax):
-                    tab[(a, b, l)] = homology(magnitude_chain_complex(space, a, b, l))
-        return tab
+        return {
+            (a, b): {
+                l: homology(magnitude_chain_complex(space, a, b, l))
+                for l in pair_achievable_lengths(space, a, b, lmax)
+            }
+            for a in range(space.n)
+            for b in range(space.n)
+        }
 
     tab_x = factor_table(x)
     tab_y = factor_table(y)
+    factors_torsion_free = not any(
+        h.torsion
+        for tab in (tab_x, tab_y)
+        for row in tab.values()
+        for h in row.values()
+    )
     mismatches = []
     for ax in range(x.n):
         for ay in range(y.n):
@@ -387,13 +395,13 @@ def verify_kunneth(x, y, lmax):
                 for by in range(y.n):
                     a = pidx(ax, ay)
                     b = pidx(bx, by)
+                    row_x = tab_x[ax, bx]
+                    row_y = tab_y[ay, by]
                     for l in pair_achievable_lengths(prod, a, b, lmax):
                         got = homology(magnitude_chain_complex(prod, a, b, l))
                         want = {}
-                        for (fa, fb, l1), hx in tab_x.items():
-                            if (fa, fb) != (ax, bx):
-                                continue
-                            hy = tab_y.get((ay, by, l - l1))
+                        for l1, hx in row_x.items():
+                            hy = row_y.get(l - l1)
                             if hy is None:
                                 continue
                             for i, ri in hx.betti:
@@ -402,9 +410,6 @@ def verify_kunneth(x, y, lmax):
                         want = {k: r for k, r in want.items() if r}
                         if got.betti_map() != want:
                             mismatches.append((l, a, b, got.betti_map(), want))
-                        factors_torsion_free = all(
-                            not h.torsion for h in list(tab_x.values()) + list(tab_y.values())
-                        )
                         if factors_torsion_free and got.torsion:
                             mismatches.append((l, a, b, "unexpected torsion", got.torsion))
     if mismatches:

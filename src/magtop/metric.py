@@ -226,15 +226,6 @@ def seq_length(space, seq):
     )
 
 
-def is_sequence(space, seq):
-    """True iff seq is nonempty, in range, with consecutive points distinct."""
-    if len(seq) == 0:
-        return False
-    if any(not (0 <= p < space.n) for p in seq):
-        return False
-    return all(seq[i - 1] != seq[i] for i in range(1, len(seq)))
-
-
 def is_smooth(space, seq, k):
     """True iff dropping seq[k] preserves the length locally.
 
@@ -278,30 +269,6 @@ def four_cuts(space):
                         if total < m_x:
                             m_x = total
     return found, m_x
-
-
-def is_pawful(space):
-    """Diameter <= 2 and every (x,y,z) with d(x,y)=d(y,z)=2, d(x,z)=1 has a
-    point at distance 1 from all three."""
-    d = space.dist
-    n = space.n
-    two = Fraction(2)
-    one = Fraction(1)
-    if space.max_distance() > two:
-        return False
-    for x in range(n):
-        for y in range(n):
-            if d[x][y] != two:
-                continue
-            for z in range(n):
-                if d[y][z] != two or d[x][z] != one:
-                    continue
-                if not any(
-                    d[w][x] == one and d[w][y] == one and d[w][z] == one
-                    for w in range(n)
-                ):
-                    return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ into one-sided pieces.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +27,10 @@ class GateMissing(AssertionError):
 
 
 class NotASycamoreTwist(ValueError):
+    pass
+
+
+class CriticalCellsMismatch(AssertionError):
     pass
 
 
@@ -57,9 +60,6 @@ class Matching:
 
     def coface_of(self, face):
         return self._up.get(face)
-
-    def face_of(self, coface):
-        return self._down.get(coface)
 
     def is_matched(self, simplex):
         return simplex in self._up or simplex in self._down
@@ -96,24 +96,60 @@ class BoundedReport:
 
 
 def _modified_hasse(simplices, matching):
-    """Directed graph: matched Hasse arrows point up, the rest point down."""
-    cells = set(simplices)
+    """The modified Hasse digraph on cell indices.
+
+    Returns the distinct cells, the matched pairs as {face: coface} and the
+    successor lists: matched Hasse arrows point up, the rest point down.
+    Vertices are numbered once, so faces are looked up as integer tuples.
+    """
+    vertex = {}
+    index = {}
+    cells = []
+    for s in simplices:
+        key = tuple([vertex.setdefault(v, len(vertex)) for v in s])
+        if key not in index:
+            index[key] = len(cells)
+            cells.append(s)
+
+    def lookup(s):
+        return index.get(tuple([vertex.get(v) for v in s]))
+
+    up = {}
     for face, coface in matching:
-        if face not in cells or coface not in cells:
+        f, c = lookup(face), lookup(coface)
+        if f is None or c is None:
             raise NotAMatching("matched simplex outside the complex: %r" % (face,))
-    succ = {s: [] for s in cells}
-    for s in cells:
-        if len(s) < 2:
-            continue
-        for i in range(len(s)):
-            f = s[:i] + s[i + 1 :]
-            if f not in cells:
+        up[f] = c
+    succ = [[] for _ in cells]
+    for key, s in index.items():
+        for i in range(len(key)):
+            f = index.get(key[:i] + key[i + 1 :])
+            if f is None:
                 continue
-            if matching.coface_of(f) == s:
+            if up.get(f) == s:
                 succ[f].append(s)
             else:
                 succ[s].append(f)
-    return succ
+    return cells, up, succ
+
+
+def _kahn(succ):
+    """Kahn order of a digraph on indices, and the indegrees it leaves.
+
+    The order covers every node exactly when the digraph is acyclic; the
+    nodes it misses keep a positive indegree.
+    """
+    indeg = [0] * len(succ)
+    for outs in succ:
+        for t in outs:
+            indeg[t] += 1
+    order = [s for s, d in enumerate(indeg) if not d]
+    for s in order:  # the order grows while it is read
+        for t in succ[s]:
+            indeg[t] -= 1
+            if not indeg[t]:
+                order.append(t)
+    return order, indeg
 
 
 def verify_acyclic(simplices, matching):
@@ -121,72 +157,43 @@ def verify_acyclic(simplices, matching):
 
     Returns a report carrying a directed cycle as witness on failure.
     """
-    succ = _modified_hasse(simplices, matching)
-    indeg = {s: 0 for s in succ}
-    pred = {s: [] for s in succ}
-    for s, outs in succ.items():
-        for t in outs:
-            indeg[t] += 1
-            pred[t].append(s)
-    queue = deque(s for s, d in indeg.items() if d == 0)
-    seen = 0
-    while queue:
-        s = queue.popleft()
-        seen += 1
-        for t in succ[s]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    if seen == len(succ):
+    cells, _, succ = _modified_hasse(simplices, matching)
+    order, indeg = _kahn(succ)
+    if len(order) == len(cells):
         return AcyclicReport(True)
-    # every unprocessed node kept an unprocessed predecessor
-    residual = {s for s, d in indeg.items() if d > 0}
-    trail = [next(iter(residual))]
-    pos = {trail[0]: 0}
-    while True:
-        prv = next(t for t in pred[trail[-1]] if t in residual)
-        if prv in pos:
-            cycle = trail[pos[prv] :]
-            cycle.reverse()
-            return AcyclicReport(False, tuple(cycle))
-        pos[prv] = len(trail)
-        trail.append(prv)
+    # every node the order missed has a predecessor it missed too
+    back = {
+        t: s for s, outs in enumerate(succ) if indeg[s] for t in outs if indeg[t]
+    }
+    trail = {}
+    s = next(iter(back))
+    while s not in trail:
+        trail[s] = len(trail)
+        s = back[s]
+    cycle = list(trail)[trail[s] :]
+    cycle.reverse()
+    return AcyclicReport(False, tuple(cells[t] for t in cycle))
 
 
 def verify_bounded(simplices, matching):
     """Longest alternating descent (down to a free face, up its partner).
 
-    Finite acyclic matchings are always bounded; the per-simplex counts
-    N(a) are returned so callers can inspect them.
+    N(a) counts the cells on the longest path from a that alternates an
+    unmatched down-arrow with the face's matched up-arrow.  Such a path runs
+    forward in the Kahn order of the modified Hasse digraph, so the counts
+    fill in from its end; a cycle leaves the order short and the report
+    failing.  The per-simplex counts are returned so callers can inspect
+    them.
     """
-    if not verify_acyclic(simplices, matching):
+    cells, up, succ = _modified_hasse(simplices, matching)
+    order, _ = _kahn(succ)
+    if len(order) < len(cells):
         return BoundedReport(False, {})
-    cells = set(simplices)
-    steps = {}
-    for s in cells:
-        outs = []
-        if len(s) >= 2:
-            for i in range(len(s)):
-                f = s[:i] + s[i + 1 :]
-                partner = matching.coface_of(f)
-                if partner is not None and partner != s:
-                    outs.append(partner)
-        steps[s] = outs
-    bounds = {}
-    for root in cells:
-        stack = [root]
-        while stack:
-            s = stack[-1]
-            if s in bounds:
-                stack.pop()
-                continue
-            todo = [t for t in steps[s] if t not in bounds]
-            if todo:
-                stack.extend(todo)
-                continue
-            bounds[s] = 1 + max((bounds[t] for t in steps[s]), default=0)
-            stack.pop()
-    return BoundedReport(True, bounds)
+    bound = [0] * len(cells)
+    for s in reversed(order):
+        # a coface is never a matched face, so only down-arrows pass the test
+        bound[s] = 1 + max((bound[up[f]] for f in succ[s] if f in up), default=0)
+    return BoundedReport(True, dict(zip(cells, bound)))
 
 
 @dataclass(frozen=True)
@@ -358,9 +365,11 @@ def critical_cells(gspec, l):
                     critical.append(stamped)
                 if classify_sequence(gspec, seq).kind != "sticky":
                     twistfree.append(stamped)
-    assert sorted(critical) == sorted(twistfree), (
-        "critical cells differ from sticky-free sequences"
-    )
+    # both lists keep the order of one enumeration of distinct sequences
+    if critical != twistfree:
+        raise CriticalCellsMismatch(
+            "critical cells differ from sticky-free sequences at length %s" % (l,)
+        )
     return sorted(critical)
 
 
@@ -369,10 +378,11 @@ class SycamoreTwist:
 
     Requires every neutral interior-h point to be at equal distance from
     each common point and its image under the twist; violations are
-    rejected with a witness.
+    rejected with a witness.  tau_h relabels the h side of x: common points
+    move along the inverse twist, interior points stay.
     """
 
-    __slots__ = ("g", "h", "k_in_g", "k_in_h", "alpha", "x", "y")
+    __slots__ = ("g", "h", "k_in_g", "k_in_h", "alpha", "x", "y", "tau_h")
 
     def __init__(self, g, h, k_in_g, k_in_h, alpha):
         alpha = tuple(alpha)
@@ -412,22 +422,16 @@ class SycamoreTwist:
         self.alpha = alpha
         self.x = x
         self.y = y
+        common = {x.g_to_x[k_in_g[alpha[t]]]: x.g_to_x[k_in_g[t]] for t in range(m)}
+        self.tau_h = {p: common.get(p, p) for p in x.side_h()}
 
     def reverse(self):
         """Twist mapping y back to x; its map composes with this one to id."""
-        m = len(self.alpha)
-        inv = [0] * m
-        for t in range(m):
-            inv[self.alpha[t]] = t
-        rev = SycamoreTwist.__new__(SycamoreTwist)
-        rev.g = self.g
-        rev.h = self.h
-        rev.k_in_g = self.k_in_g
-        rev.k_in_h = tuple(self.k_in_h[self.alpha[t]] for t in range(m))
-        rev.alpha = tuple(inv)
-        rev.x = self.y
-        rev.y = self.x
-        return rev
+        inv = [0] * len(self.alpha)
+        for t, s in enumerate(self.alpha):
+            inv[s] = t
+        k_in_h = tuple(self.k_in_h[s] for s in self.alpha)
+        return SycamoreTwist(self.g, self.h, self.k_in_g, k_in_h, inv)
 
 
 def sycamore_tau(twist, seq):
@@ -441,15 +445,6 @@ def sycamore_tau(twist, seq):
     cls = classify_sequence(x, seq)
     if cls.kind == "sticky":
         raise ValueError("sticky sequences have no twist image")
-    m = len(twist.alpha)
-    inv = [0] * m
-    for t in range(m):
-        inv[twist.alpha[t]] = t
-    slot = {x.g_to_x[twist.k_in_g[t]]: t for t in range(m)}
-    tau_h = {
-        p: x.g_to_x[twist.k_in_g[inv[slot[p]]]] if p in slot else p
-        for p in x.side_h()
-    }
     side_flat_g = x.interior_g | x.kset | x.neutral
     out = []
     for start, end in cls.pieces:
@@ -457,7 +452,7 @@ def sycamore_tau(twist, seq):
         if all(p in side_flat_g for p in piece):
             image = piece
         else:
-            image = tuple(tau_h[p] for p in piece)
+            image = tuple(twist.tau_h[p] for p in piece)
         if out:
             assert out[-1] == image[0], "piece images disagree at a cut point"
             out.extend(image[1:])

@@ -279,55 +279,3 @@ def euler_check(space, lmax):
                 if coeff != chi:
                     mismatches.append((l, space.labels[a], space.labels[b], coeff, chi))
     return EulerReport(not mismatches, checked, tuple(mismatches))
-
-
-class SizeMismatch(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class RecoverReport:
-    isometry: bool
-    lmax: Fraction
-    detail: str = ""
-
-    def __bool__(self):
-        return self.isometry
-
-
-def recover_check(x, y, point_map):
-    """Compare inverse-coefficient tables of two spaces along a point map.
-
-    The truncation is taken well beyond the diameter, so equal tables force
-    equal similarity matrices; the direct matrix comparison is kept as the
-    final arbiter and must agree with the table verdict.
-    """
-    if x.n != y.n:
-        raise SizeMismatch("spaces have %d vs %d points" % (x.n, y.n))
-    point_map = tuple(point_map)
-    if sorted(point_map) != list(range(y.n)):
-        raise SizeMismatch("point map is not a bijection onto the target")
-    lmax = max(x.max_distance(), y.max_distance()) * 3
-    if lmax == 0:
-        lmax = Fraction(1)
-    inv_x = z_inverse(x, lmax)
-    inv_y = z_inverse(y, lmax)
-    tables_equal = True
-    detail = ""
-    for a in range(x.n):
-        for b in range(x.n):
-            if inv_x.entry(a, b) != inv_y.entry(point_map[a], point_map[b]):
-                tables_equal = False
-                detail = "inverse entries differ at (%s,%s)" % (x.labels[a], x.labels[b])
-                break
-        if not tables_equal:
-            break
-    direct_equal = all(
-        x.dist[a][b] == y.dist[point_map[a]][point_map[b]]
-        for a in range(x.n)
-        for b in range(x.n)
-    )
-    assert tables_equal == direct_equal, "table verdict contradicts the matrices"
-    if tables_equal:
-        detail = "all %d inverse entries agree up to q^%s" % (x.n * x.n, lmax)
-    return RecoverReport(tables_equal, Fraction(lmax), detail)

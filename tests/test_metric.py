@@ -13,7 +13,6 @@ from magtop import (
     from_weighted_graph,
     glue,
     interval,
-    is_pawful,
     is_smooth,
     product,
     random_metric_space,
@@ -28,7 +27,6 @@ from magtop.metric import (
     NotIsometricEmbedding,
     TriangleViolation,
     ZeroOffDiagonal,
-    is_sequence,
 )
 
 F = Fraction
@@ -161,9 +159,6 @@ def test_seq_length_and_smoothness():
         ("a", "b", "c"), [("a", "b", 1), ("b", "c", 1)]
     )
     assert seq_length(sp, (0, 1, 2)) == 2
-    assert is_sequence(sp, (0, 1, 2))
-    assert not is_sequence(sp, (0, 0, 1))
-    assert not is_sequence(sp, ())
     # b lies between a and c, so the middle entry is smooth
     assert is_smooth(sp, (0, 1, 2), 1)
     assert not is_smooth(sp, (0, 1, 0), 1)
@@ -207,15 +202,6 @@ def test_interval_poset_laws():
         [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1)],
     )
     assert interval(c4, 0, 1, "closed").carrier == (0, 1)
-
-
-def test_pawful_examples():
-    assert is_pawful(unit_complete(3))
-    assert is_pawful(unit_complete(5))
-    path = from_weighted_graph(
-        ("a", "b", "c", "d"), [("a", "b", 1), ("b", "c", 1), ("c", "d", 1)]
-    )
-    assert not is_pawful(path)  # diameter 3
 
 
 def test_glue_classifies_interior_points():

@@ -1,10 +1,11 @@
 """Tests for the discrete vector field over glued spaces."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -14,6 +15,7 @@ from magtop.docs import gluing_from_doc, load_fixture, twist_from_doc
 from magtop.homology import magnitude_homology_total
 from magtop.metric import MetricSpace
 from magtop.morse import (
+    CriticalCellsMismatch,
     Matching,
     NotAMatching,
     NotASycamoreTwist,
@@ -47,9 +49,9 @@ def test_matching_accessors():
     m = Matching([(("a",), ("a", "b")), (("c",), ("b", "c"))])
     assert len(m) == 2
     assert m.coface_of(("a",)) == ("a", "b")
-    assert m.face_of(("a", "b")) == ("a",)
+    assert m.coface_of(("c",)) == ("b", "c")
     assert m.coface_of(("b",)) is None
-    assert m.face_of(("c",)) is None
+    assert m.coface_of(("a", "b")) is None
     assert m.is_matched(("c",)) and m.is_matched(("b", "c"))
     assert not m.is_matched(("b",))
     assert m == Matching(reversed(list(m)))
@@ -103,7 +105,7 @@ def test_cycle_witness_on_triangle_boundary():
             assert m.coface_of(s) == t
         else:
             assert len(t) == len(s) - 1 and set(t) < set(s)
-            assert m.face_of(s) != t
+            assert m.coface_of(t) != s
     bounded = verify_bounded(cells, m)
     assert not bounded and bounded.bounds == {}
 
@@ -122,6 +124,120 @@ def test_bounded_empty_matching():
     cells = [("a",), ("b",), ("a", "b")]
     rep = verify_bounded(cells, Matching([]))
     assert rep.ok and set(rep.bounds.values()) == {1}
+
+
+def dfs_bounds(simplices, matching):
+    """N(a) by depth-first search over the alternating steps from a (down to
+    a matched face, up its partner); the matching must be acyclic."""
+    cells = set(simplices)
+    steps = {}
+    for s in cells:
+        outs = []
+        if len(s) >= 2:
+            for i in range(len(s)):
+                partner = matching.coface_of(s[:i] + s[i + 1 :])
+                if partner is not None and partner != s:
+                    outs.append(partner)
+        steps[s] = outs
+    bounds = {}
+    for root in cells:
+        stack = [root]
+        while stack:
+            s = stack[-1]
+            if s in bounds:
+                stack.pop()
+                continue
+            todo = [t for t in steps[s] if t not in bounds]
+            if todo:
+                stack.extend(todo)
+                continue
+            bounds[s] = 1 + max((bounds[t] for t in steps[s]), default=0)
+            stack.pop()
+    return bounds
+
+
+def test_bounds_match_dfs_oracle_on_fixtures():
+    for gl in (mv_gluing(), sycamore_gluing()):
+        for l in (1, 2, 3, 4):
+            cells = lightlike_simplices(gl.space, l)
+            m = projecting_matching(gl, l)
+            rep = verify_bounded(cells, m)
+            assert rep.ok
+            assert rep.bounds == dfs_bounds(cells, m)
+
+
+def modified_arrows(cells, matching):
+    """Arrows of the modified Hasse digraph, from face pairs by brute force."""
+    arrows = set()
+    for s in cells:
+        for f in cells:
+            if len(f) == len(s) - 1 and set(f) < set(s):
+                arrows.add((f, s) if matching.coface_of(f) == s else (s, f))
+    return arrows
+
+
+def has_cycle(cells, arrows):
+    """True when some cell reaches itself along one or more arrows."""
+    succ = {s: [t for u, t in arrows if u == s] for s in cells}
+    for s in cells:
+        seen = set()
+        todo = list(succ[s])
+        while todo:
+            t = todo.pop()
+            if t not in seen:
+                seen.add(t)
+                todo.extend(succ[t])
+        if s in seen:
+            return True
+    return False
+
+
+def random_matched_complex(rng):
+    """Face closure of a few random simplices on five vertices, with a
+    random partial matching of codimension-one pairs."""
+    facets = [
+        tuple(sorted(rng.sample(range(5), rng.randint(2, 4))))
+        for _ in range(rng.randint(1, 3))
+    ]
+    cells = sorted(
+        {c for f in facets for k in range(1, len(f) + 1) for c in combinations(f, k)}
+    )
+    pairs = [
+        (s[:i] + s[i + 1 :], s) for s in cells if len(s) > 1 for i in range(len(s))
+    ]
+    rng.shuffle(pairs)
+    used = set()
+    chosen = []
+    for face, coface in pairs:
+        if face not in used and coface not in used and rng.random() < 0.7:
+            used.update((face, coface))
+            chosen.append((face, coface))
+    return cells, Matching(chosen)
+
+
+def test_verifiers_match_brute_force_on_random_matchings():
+    rng = random.Random(5)
+    cyclic = acyclic = 0
+    for _ in range(80):
+        cells, m = random_matched_complex(rng)
+        arrows = modified_arrows(cells, m)
+        cyclic_here = has_cycle(cells, arrows)
+        rep = verify_acyclic(cells, m)
+        bounded = verify_bounded(cells, m)
+        assert rep.ok == (not cyclic_here) == bounded.ok
+        if cyclic_here:
+            cyclic += 1
+            cycle = rep.cycle
+            assert len(cycle) >= 2 and len(set(cycle)) == len(cycle)
+            assert all(
+                (s, t) in arrows for s, t in zip(cycle, cycle[1:] + cycle[:1])
+            )
+            assert bounded.bounds == {}
+        else:
+            acyclic += 1
+            assert rep.cycle == ()
+            assert bounded.bounds == dfs_bounds(cells, m)
+    assert cyclic >= 10 and acyclic >= 10
 
 
 def test_lightlike_simplices_two_point():
@@ -187,7 +303,7 @@ def test_gate_insert_pair():
     face = seq_time_stamps(gl.space, (2, 3))
     coface = seq_time_stamps(gl.space, (2, 0, 3))
     assert m.coface_of(face) == coface
-    assert m.face_of(coface) == face
+    assert m.is_matched(coface) and m.coface_of(coface) is None
 
 
 def test_matching_pairs_preserve_length_and_endpoints():
@@ -305,7 +421,7 @@ def test_reverse_twist_round_trip():
     assert sorted(tw.x.neutral) == [3]
     rev = tw.reverse()
     assert rev.alpha == (2, 0, 1)
-    assert rev.x is tw.y and rev.y is tw.x
+    assert rev.x == tw.y and rev.y == tw.x
     back = rev.reverse()
     assert back.alpha == tw.alpha and back.k_in_h == tw.k_in_h
     assert verify_sycamore(tw, 1)
@@ -349,6 +465,41 @@ def test_uncancelled_euler_count_fails_even_under_optimize(monkeypatch):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("False length 3 in x: matched pairs fail")
+
+
+DROP_MATCHED_PAIR = """
+def dropped(gspec, l):
+    return morse.Matching(list(full(gspec, l))[1:])
+"""
+
+
+def test_critical_cell_mismatch_raises_even_under_optimize(monkeypatch):
+    scope = {"full": projecting_matching, "morse": morse}
+    exec(DROP_MATCHED_PAIR, scope)
+    monkeypatch.setattr(morse, "projecting_matching", scope["dropped"])
+    with pytest.raises(CriticalCellsMismatch, match="at length 2"):
+        critical_cells(mv_gluing(), 2)
+    script = (
+        "from magtop import morse\n"
+        "from magtop.docs import gluing_from_doc, load_fixture\n"
+        "full = morse.projecting_matching\n"
+        + DROP_MATCHED_PAIR
+        + "morse.projecting_matching = dropped\n"
+        "gl = gluing_from_doc(load_fixture('mv_triangles'))\n"
+        "try:\n"
+        "    print(len(morse.critical_cells(gl, 2)))\n"
+        "except morse.CriticalCellsMismatch as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(magtop.__file__))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("raised critical cells differ")
 
 
 def test_twist_rejections():

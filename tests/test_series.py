@@ -3,25 +3,21 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from magtop import (
     HahnPolynomial,
     euler_check,
     format_series,
     from_distance_matrix,
-    from_weighted_graph,
     load_fixture,
     magnitude,
     perturbative_inverse,
     random_metric_space,
-    recover_check,
     space_from_doc,
     weighting,
     z_inverse,
     z_matrix,
 )
-from magtop.series import SizeMismatch, series_identity
+from magtop.series import series_identity
 
 F = Fraction
 
@@ -142,41 +138,3 @@ def test_euler_identity_on_fixtures_and_random_spaces():
     for seed in range(10):
         rep = euler_check(random_metric_space(5, seed), F(3))
         assert rep.ok, (seed, rep.mismatches)
-
-
-def test_recover_rotation_is_isometry():
-    c4 = fixture_space("c4")
-    # a -> c -> b -> d -> a walks the cycle one step
-    rot = {
-        c4.index("a"): c4.index("c"),
-        c4.index("c"): c4.index("b"),
-        c4.index("b"): c4.index("d"),
-        c4.index("d"): c4.index("a"),
-    }
-    rep = recover_check(c4, c4, tuple(rot[i] for i in range(4)))
-    assert rep.isometry
-    assert rep.lmax == 6
-
-
-def test_recover_distinguishes_c4_from_path():
-    c4 = fixture_space("c4")
-    p3 = fixture_space("p3")
-    assert not recover_check(c4, p3, (0, 1, 2, 3)).isometry
-
-
-def test_recover_detects_reweighted_triangle():
-    k3 = fixture_space("k3")
-    skew = from_weighted_graph(
-        ("a", "b", "c"),
-        [("a", "b", 1), ("b", "c", 1), ("a", "c", F(3, 2))],
-    )
-    rep = recover_check(k3, skew, (0, 1, 2))
-    assert not rep.isometry
-    assert "differ" in rep.detail
-
-
-def test_recover_size_mismatch():
-    with pytest.raises(SizeMismatch):
-        recover_check(fixture_space("k3"), fixture_space("c4"), (0, 1, 2))
-    with pytest.raises(SizeMismatch):
-        recover_check(fixture_space("k3"), fixture_space("k3"), (0, 0, 1))
