@@ -7,10 +7,16 @@ sequence) is a finite poset.  The order complex of that poset relative to
 the short chains models the magnitude homotopy type, and all homology in
 this package is computed from such pairs or from the sequence chain complex
 directly.
+
+Lengths in and out of this module are Fractions.  The kernels (walks,
+_reachable_lengths, seq_time_stamps) run on the space's integer distances,
+scaled once per space by their least common denominator: a length l with
+l * scale not an integer has no sequences at all.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -32,8 +38,11 @@ def walks(space, a, l, b=None, successors=None):
     lists, in increasing order, the points that may follow the partial
     sequence seq; by default that is every point other than its last.
     """
-    l = Fraction(l)
-    d = space.dist
+    scale, d = space._scaled
+    l = Fraction(l) * scale
+    if l.denominator != 1:
+        return []
+    l = l.numerator
     n = space.n
     if successors is None:
         others = [[y for y in range(n) if y != x] for x in range(n)]
@@ -43,7 +52,7 @@ def walks(space, a, l, b=None, successors=None):
 
     # least length still needed after reaching y; a step is taken only if
     # it leaves at least that much, so rem reaches 0 only at b
-    to_end = [Fraction(0) if b is None else d[y][b] for y in range(n)]
+    to_end = [0 if b is None else d[y][b] for y in range(n)]
     out = []
     seq = [a]
 
@@ -70,17 +79,19 @@ def lightlike_sequences(space, a, b, l):
 
 
 def _reachable_lengths(space, start, budget):
-    """Map point -> set of sequence lengths from start, up to budget."""
-    d = space.dist
+    """Map point -> set of scaled sequence lengths from start, up to budget."""
+    scale, d = space._scaled
+    budget = math.floor(Fraction(budget) * scale)
     n = space.n
-    seen = {start: {Fraction(0)}}
-    frontier = [(start, Fraction(0))]
+    seen = {start: {0}}
+    frontier = [(start, 0)]
     while frontier:
         x, used = frontier.pop()
+        row = d[x]
         for y in range(n):
             if y == x:
                 continue
-            nl = used + d[x][y]
+            nl = used + row[y]
             if nl > budget:
                 continue
             bucket = seen.setdefault(y, set())
@@ -89,29 +100,34 @@ def _reachable_lengths(space, start, budget):
                 frontier.append((y, nl))
     return seen
 
+
+def _unscaled(space, scaled_lengths):
+    scale = space._scaled[0]
+    return [Fraction(k, scale) for k in sorted(scaled_lengths)]
+
+
 def achievable_lengths(space, budget):
     """Sorted list of all sequence lengths <= budget, over all endpoints."""
-    budget = Fraction(budget)
     out = set()
     for start in range(space.n):
         for bucket in _reachable_lengths(space, start, budget).values():
             out |= bucket
-    return sorted(out)
+    return _unscaled(space, out)
 
 
 def pair_achievable_lengths(space, a, b, budget):
     """Sorted list of lengths of sequences from a to b, up to budget."""
-    budget = Fraction(budget)
-    return sorted(_reachable_lengths(space, a, budget).get(b, set()))
+    return _unscaled(space, _reachable_lengths(space, a, budget).get(b, ()))
 
 
 def seq_time_stamps(space, seq):
     """The chain of causal points carried by a sequence (prefix-sum times)."""
-    t = Fraction(0)
-    chain = [CausalPoint(t, seq[0])]
+    scale, d = space._scaled
+    t = 0
+    chain = [CausalPoint(Fraction(0), seq[0])]
     for i in range(1, len(seq)):
-        t += space.dist[seq[i - 1]][seq[i]]
-        chain.append(CausalPoint(t, seq[i]))
+        t += d[seq[i - 1]][seq[i]]
+        chain.append(CausalPoint(Fraction(t, scale), seq[i]))
     return tuple(chain)
 
 
@@ -284,10 +300,7 @@ class SimplicialPair:
         self.sub = sub
 
     def relative_simplices(self):
-        return sorted(
-            (s for s in self.total.simplices() if s not in self.sub),
-            key=lambda s: (len(s), s),
-        )
+        return sorted(self.total._sims - self.sub._sims, key=lambda s: (len(s), s))
 
     def __repr__(self):
         return "SimplicialPair(total=%s, sub=%s)" % (self.total.state, self.sub.state)

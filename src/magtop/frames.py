@@ -77,7 +77,7 @@ def _four_cut_guard(space, l):
 def _frame_steps(space, steps):
     """Successor rule of frames: steps[x] lists the allowed steps out of x,
     and a step that would leave x smooth is refused."""
-    d = space.dist
+    d = space._scaled[1]
 
     def successors(seq):
         x = seq[-1]

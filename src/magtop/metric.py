@@ -2,7 +2,10 @@
 
 Every classification downstream (smoothness, gates, light-likeness) branches
 on exact equalities such as d(x,y) + d(y,z) == d(x,z), so distances are
-fractions.Fraction values throughout and floats are rejected outright.
+fractions.Fraction values in the API and floats are rejected outright.  The
+hot kernels compare integers instead: each space multiplies its distances
+once by their least common denominator (its scale), and a sum of distances
+is then an exact integer multiple of 1/scale.
 """
 
 from __future__ import annotations
@@ -70,9 +73,22 @@ def _as_fraction(value):
     return Fraction(value)
 
 
+def _scale_matrix(matrix):
+    """(scale, integer matrix): the Fractions times their least common
+    denominator."""
+    scale = math.lcm(*(v.denominator for row in matrix for v in row))
+    return scale, tuple(
+        tuple(v.numerator * (scale // v.denominator) for v in row) for row in matrix
+    )
+
+
 @dataclass(frozen=True)
 class MetricSpace:
-    """Finite point set with an exact rational distance matrix."""
+    """Finite point set with an exact rational distance matrix.
+
+    _scaled caches (scale, integer matrix) for the kernels; it takes no part
+    in equality, hashing or repr.
+    """
 
     labels: tuple
     dist: tuple
@@ -85,14 +101,15 @@ class MetricSpace:
             raise MetricError("duplicate labels: %r" % (self.labels,))
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise MetricError("distance matrix shape does not match label count")
-        d = self.dist
         for i in range(n):
             for j in range(n):
-                if not isinstance(d[i][j], Fraction):
+                if not isinstance(self.dist[i][j], Fraction):
                     raise MetricError("non-rational distance at (%d,%d)" % (i, j))
+        scaled = _scale_matrix(self.dist)
+        d = scaled[1]
         for i in range(n):
             if d[i][i] != 0:
-                raise NonzeroDiagonal("d(%s,%s) = %s != 0" % (self.labels[i], self.labels[i], d[i][i]))
+                raise NonzeroDiagonal("d(%s,%s) = %s != 0" % (self.labels[i], self.labels[i], self.dist[i][i]))
             for j in range(i + 1, n):
                 if d[i][j] < 0 or d[j][i] < 0:
                     raise NegativeDistance("d(%s,%s) < 0" % (self.labels[i], self.labels[j]))
@@ -101,10 +118,13 @@ class MetricSpace:
                 if d[i][j] != d[j][i]:
                     raise AsymmetryError("d(%s,%s) != d(%s,%s)" % (self.labels[i], self.labels[j], self.labels[j], self.labels[i]))
         for i in range(n):
+            row_i = d[i]
             for j in range(n):
+                d_ij, row_j = row_i[j], d[j]
                 for k in range(n):
-                    if d[i][k] > d[i][j] + d[j][k]:
+                    if row_i[k] > d_ij + row_j[k]:
                         raise TriangleViolation(self.labels, i, j, k)
+        object.__setattr__(self, "_scaled", scaled)
 
     @property
     def n(self):
@@ -169,22 +189,31 @@ def from_weighted_graph(vertices, edges):
         if d[i][j] is None or w < d[i][j]:
             d[i][j] = w
             d[j][i] = w
+    # shortest paths on the weights times their least common denominator
+    scale = math.lcm(*(w.denominator for row in d for w in row if w is not None))
+    d = [
+        [None if w is None else w.numerator * (scale // w.denominator) for w in row]
+        for row in d
+    ]
     for k in range(n):
+        row_k = d[k]
         for i in range(n):
-            if d[i][k] is None:
+            d_ik = d[i][k]
+            if d_ik is None:
                 continue
+            row_i = d[i]
             for j in range(n):
-                if d[k][j] is None:
+                if row_k[j] is None:
                     continue
-                via = d[i][k] + d[k][j]
-                if d[i][j] is None or via < d[i][j]:
-                    d[i][j] = via
+                via = d_ik + row_k[j]
+                if row_i[j] is None or via < row_i[j]:
+                    row_i[j] = via
                     d[j][i] = via
     for i in range(n):
         for j in range(n):
             if d[i][j] is None:
                 raise DisconnectedGraph("no path between %s and %s" % (labels[i], labels[j]))
-    return MetricSpace(labels, tuple(tuple(row) for row in d))
+    return MetricSpace(labels, tuple(tuple(Fraction(v, scale) for v in row) for row in d))
 
 
 def restriction(space, indices, labels=None):
@@ -245,7 +274,7 @@ def four_cuts(space):
     distance d(x0,x3) is strictly smaller.  Returns (quadruples, m_X) where
     m_X is the minimal length of a qualifying quadruple, INFINITE if none.
     """
-    d = space.dist
+    scale, d = space._scaled
     n = space.n
     found = []
     m_x = INFINITE
@@ -268,7 +297,7 @@ def four_cuts(space):
                         found.append((x0, x1, x2, x3))
                         if total < m_x:
                             m_x = total
-    return found, m_x
+    return found, m_x if m_x is INFINITE else Fraction(m_x, scale)
 
 
 @dataclass(frozen=True)

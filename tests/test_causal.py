@@ -202,6 +202,19 @@ def test_simplicial_pair_relative_simplices():
     assert pair.relative_simplices() == [("b",), ("a", "b")]
     with pytest.raises(AssertionError):
         SimplicialPair(sub, total)
+    # a void sub leaves every simplex, sorted by size then lexicographically
+    big = SimplicialComplex.of([("a", "b", "c"), ("b", "d")], close=True)
+    everything = SimplicialPair(big, SimplicialComplex.void())
+    assert everything.relative_simplices() == [
+        ("a",), ("b",), ("c",), ("d",),
+        ("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"),
+        ("a", "b", "c"),
+    ]
+    assert everything.relative_simplices() == big.simplices()
+    # a sub equal to the total leaves nothing, and so does a void total
+    assert SimplicialPair(big, big).relative_simplices() == []
+    void = SimplicialComplex.void()
+    assert SimplicialPair(void, void).relative_simplices() == []
 
 
 def test_order_complex_pair_zero_length_conventions():

@@ -57,6 +57,34 @@ def test_homology_deterministic_and_parallel(capsys):
     assert parallel == first
 
 
+def test_parallel_output_on_fractional_distances(capsys, tmp_path):
+    # a 4-cycle with edge weights 1/2, 2/3, 3/4, 1: distances in twelfths;
+    # each worker process gets its space, and the space's scaled integer
+    # distances, by pickling
+    doc = {
+        "type": "matrix",
+        "labels": ["a", "b", "c", "d"],
+        "dist": [
+            ["0", "1/2", "7/6", "1"],
+            ["1/2", "0", "2/3", "17/12"],
+            ["7/6", "2/3", "0", "3/4"],
+            ["1", "17/12", "3/4", "0"],
+        ],
+    }
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["homology", str(path), "--l", "5/2"],
+        ["verify", "chain-iso", str(path), "--lmax", "2"],
+    ):
+        code, serial, _ = run(capsys, argv + ["--jobs", "1"])
+        assert code == 0
+        assert len(serial.splitlines()) > 3
+        code, parallel, _ = run(capsys, argv + ["--jobs", "2"])
+        assert code == 0
+        assert parallel == serial
+
+
 def test_homology_unreachable_length(capsys):
     code, out, _ = run(capsys, ["homology", "fixture:k3", "--l", "7/2"])
     assert code == 0
