@@ -14,7 +14,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .causal import InvalidLength, achievable_lengths, pair_achievable_lengths
+from .causal import (
+    InvalidLength,
+    achievable_lengths,
+    pair_achievable_lengths,
+    seq_time_stamps,
+)
 from .docs import (
     DocumentError,
     facets_from_doc,
@@ -261,8 +266,8 @@ def cmd_lengths(args):
 def cmd_critical_cells(args):
     gspec = gluing_from_doc(_load_document(args.input))
     l = _length_arg(args.l)
-    cells = critical_cells(gspec, l)
     space = gspec.space
+    cells = sorted(seq_time_stamps(space, s) for s in critical_cells(gspec, l))
     by_dim = {}
     for stamped in cells:
         by_dim.setdefault(len(stamped) - 1, []).append(stamped)

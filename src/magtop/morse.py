@@ -1,6 +1,12 @@
 """Verified discrete Morse matchings and the glued-space twist bijection.
 
-A partial matching pairs simplices with codimension-one faces.  Matched
+Cells are point-index sequences; a face drops one entry.  The magnitude
+homotopy type's non-degenerate cells are the time-stamped full-length
+sequences, and stamping is a bijection onto the plain sequences that
+commutes with dropping an entry, so nothing here stamps a cell: the
+`critical-cells` command stamps what it prints.
+
+A partial matching pairs cells with codimension-one faces.  Matched
 pairs reverse their Hasse arrow; acyclicity of the resulting digraph is
 checked, never assumed.  For a glued space the projecting matching pairs
 every sequence that crosses from one side to the other through the common
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .causal import achievable_lengths, lightlike_sequences, seq_time_stamps
+from .causal import achievable_lengths, lightlike_sequences
 from .metric import glue, seq_length
 
 
@@ -35,7 +41,10 @@ class CriticalCellsMismatch(AssertionError):
 
 
 class Matching:
-    """Partial pairing (face, coface) with each simplex in at most one pair."""
+    """Partial pairing (face, coface) with each cell in at most one pair.
+
+    The face is the coface with one entry deleted.
+    """
 
     __slots__ = ("pairs", "_up", "_down")
 
@@ -44,7 +53,9 @@ class Matching:
         up = {}
         down = {}
         for face, coface in pairs:
-            if len(coface) != len(face) + 1 or not set(face) < set(coface):
+            if len(coface) != len(face) + 1 or not any(
+                coface[:i] + coface[i + 1 :] == face for i in range(len(coface))
+            ):
                 raise NotAMatching(
                     "pair is not a codimension-one face relation: %r, %r"
                     % (face, coface)
@@ -100,23 +111,14 @@ def _modified_hasse(simplices, matching):
 
     Returns the distinct cells, the matched pairs as {face: coface} and the
     successor lists: matched Hasse arrows point up, the rest point down.
-    Vertices are numbered once, so faces are looked up as integer tuples.
     """
-    vertex = {}
     index = {}
-    cells = []
     for s in simplices:
-        key = tuple([vertex.setdefault(v, len(vertex)) for v in s])
-        if key not in index:
-            index[key] = len(cells)
-            cells.append(s)
-
-    def lookup(s):
-        return index.get(tuple([vertex.get(v) for v in s]))
-
+        index.setdefault(s, len(index))
+    cells = list(index)
     up = {}
     for face, coface in matching:
-        f, c = lookup(face), lookup(coface)
+        f, c = index.get(face), index.get(coface)
         if f is None or c is None:
             raise NotAMatching("matched simplex outside the complex: %r" % (face,))
         up[f] = c
@@ -155,7 +157,8 @@ def _kahn(succ):
 def verify_acyclic(simplices, matching):
     """Kahn-style cycle test on the modified Hasse digraph.
 
-    Returns a report carrying a directed cycle as witness on failure.
+    Returns a report carrying a directed cycle as witness on failure: the
+    cells in order, each step a matched up-arrow or an unmatched down-arrow.
     """
     cells, _, succ = _modified_hasse(simplices, matching)
     order, indeg = _kahn(succ)
@@ -182,7 +185,7 @@ def verify_bounded(simplices, matching):
     unmatched down-arrow with the face's matched up-arrow.  Such a path runs
     forward in the Kahn order of the modified Hasse digraph, so the counts
     fill in from its end; a cycle leaves the order short and the report
-    failing.  The per-simplex counts are returned so callers can inspect
+    failing.  The counts are returned keyed by cell so callers can inspect
     them.
     """
     cells, up, succ = _modified_hasse(simplices, matching)
@@ -305,12 +308,11 @@ def _partner_sequence(gspec, seq):
 
 
 def lightlike_simplices(space, l):
-    """Stamped full-length sequences between all ordered endpoint pairs."""
+    """Full-length sequences between all ordered endpoint pairs."""
     out = []
     for a in range(space.n):
         for b in range(space.n):
-            for seq in lightlike_sequences(space, a, b, l):
-                out.append(seq_time_stamps(space, seq))
+            out.extend(lightlike_sequences(space, a, b, l))
     return out
 
 
@@ -318,12 +320,13 @@ def projecting_matching(gspec, l):
     """Pair every sticky full-length sequence with its gate insert/delete.
 
     The gate identity keeps insertion length-preserving, so both halves of
-    each pair are full-length sequences of the same endpoints; the pairing
-    is checked to be involutive.
+    each pair are full-length sequences of the same endpoints.  Length,
+    repeats, involution and conflicts are checked; a failure raises
+    NotAMatching.
     """
     space = gspec.space
     l = Fraction(l)
-    stamped_pairs = {}
+    pairs = {}
     for a in range(space.n):
         for b in range(space.n):
             for seq in lightlike_sequences(space, a, b, l):
@@ -331,24 +334,21 @@ def projecting_matching(gspec, l):
                     continue
                 face, coface = _partner_sequence(gspec, seq)
                 other = face if seq == coface else coface
-                assert seq_length(space, other) == l, "gate move changed length"
-                assert all(
-                    other[t] != other[t + 1] for t in range(len(other) - 1)
-                ), "gate move produced a repeated point"
-                back = _partner_sequence(gspec, other)
-                assert back == (face, coface), "gate pairing is not involutive"
-                sface = seq_time_stamps(space, face)
-                scoface = seq_time_stamps(space, coface)
-                prev = stamped_pairs.get(sface)
-                assert prev is None or prev == scoface, "conflicting partners"
-                stamped_pairs[sface] = scoface
-    return Matching(sorted(stamped_pairs.items()))
+                if seq_length(space, other) != l:
+                    raise NotAMatching("gate move changed length")
+                if any(other[t] == other[t + 1] for t in range(len(other) - 1)):
+                    raise NotAMatching("gate move produced a repeated point")
+                if _partner_sequence(gspec, other) != (face, coface):
+                    raise NotAMatching("gate pairing is not involutive")
+                if pairs.setdefault(face, coface) != coface:
+                    raise NotAMatching("conflicting partners")
+    return Matching(pairs.items())
 
 
 def critical_cells(gspec, l):
-    """Unmatched full-length simplices of the projecting matching.
+    """Unmatched full-length sequences of the projecting matching, sorted.
 
-    Shorter simplices are never touched by the matching and stay critical;
+    Shorter sequences are never touched by the matching and stay critical;
     only the full-length ones are enumerated here.  The result is checked
     against the independent sticky-free classification.
     """
@@ -360,11 +360,10 @@ def critical_cells(gspec, l):
     for a in range(space.n):
         for b in range(space.n):
             for seq in lightlike_sequences(space, a, b, l):
-                stamped = seq_time_stamps(space, seq)
-                if not matching.is_matched(stamped):
-                    critical.append(stamped)
+                if not matching.is_matched(seq):
+                    critical.append(seq)
                 if classify_sequence(gspec, seq).kind != "sticky":
-                    twistfree.append(stamped)
+                    twistfree.append(seq)
     # both lists keep the order of one enumeration of distinct sequences
     if critical != twistfree:
         raise CriticalCellsMismatch(
@@ -471,9 +470,9 @@ class SycamoreReport:
         return self.ok
 
 
-def _by_dim(stamped_cells):
+def _by_dim(cells):
     table = {}
-    for s in stamped_cells:
+    for s in cells:
         table.setdefault(len(s) - 1, set()).add(s)
     return table
 
@@ -503,14 +502,13 @@ def verify_sycamore(twist, lmax):
         for k, cells in crit_x.items():
             imgs = set()
             stretched = unreversed = 0
-            for stamped in cells:
-                seq = tuple(p for _, p in stamped)
+            for seq in cells:
                 img = sycamore_tau(twist, seq)
                 if seq_length(y, img) != l:
                     stretched += 1
                 elif sycamore_tau(rev, img) != seq:
                     unreversed += 1
-                imgs.add(seq_time_stamps(y, img))
+                imgs.add(img)
             if stretched:
                 problems.append(
                     "length %s dim %d: %d twist images change length"

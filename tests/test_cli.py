@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -121,6 +122,46 @@ def test_critical_cells(capsys):
     assert lines[0] == "# critical cells at length 1: 8"
     assert lines[1] == "dim 1: 8"
     assert "  p:0 q:1" in lines
+
+
+@pytest.mark.parametrize(
+    "l, extra, lines, digest",
+    [
+        (
+            "2",
+            [],
+            179,
+            "3fc43db0ac39e2c5e75da18d81534811f2867c0ae99d0d4e5ae65209cf23f4b5",
+        ),
+        (
+            "2",
+            ["--format", "json"],
+            186,
+            "c2c56d42161b0fbfadb7b7e4360d5a81bbb4254501bbea77602539fcd5c83a2c",
+        ),
+        (
+            "3",
+            [],
+            636,
+            "8cedcaed8d4a9958a1ca58859f3b961522fca6b7eef9d52bbbb03e39d02d73ef",
+        ),
+        (
+            "3",
+            ["--format", "json"],
+            644,
+            "9eb22956bc0e39273055fb4f86a41569eff204cf0e2ce79f410deafc1776d138",
+        ),
+    ],
+)
+def test_critical_cells_pinned_output(capsys, l, extra, lines, digest):
+    # within dimension 2 at l = 3, sorting the sequences and sorting their
+    # stamps give different orders, so the printer must sort by stamp
+    code, out, _ = run(
+        capsys, ["critical-cells", "fixture:sycamore_gluing", "--l", l] + extra
+    )
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_frames_endpoint_mode(capsys):

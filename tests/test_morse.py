@@ -13,7 +13,7 @@ import magtop
 from magtop import morse
 from magtop.docs import gluing_from_doc, load_fixture, twist_from_doc
 from magtop.homology import magnitude_homology_total
-from magtop.metric import MetricSpace
+from magtop.metric import MetricSpace, seq_length
 from magtop.morse import (
     CriticalCellsMismatch,
     Matching,
@@ -29,7 +29,7 @@ from magtop.morse import (
     verify_bounded,
     verify_sycamore,
 )
-from magtop.causal import seq_time_stamps
+from magtop.causal import achievable_lengths, seq_time_stamps
 
 
 def space(labels, rows):
@@ -66,6 +66,15 @@ def test_matching_rejects_bad_pairs():
         Matching([(("a",), ("a", "b")), (("a",), ("a", "c"))])
     with pytest.raises(NotAMatching):
         Matching([(("a",), ("a", "b")), (("b",), ("a", "b"))])
+    # same points, but no single deletion turns the coface into the face
+    with pytest.raises(NotAMatching):
+        Matching([((2, 1, 0), (0, 1, 0, 2))])
+
+
+def test_matching_accepts_face_of_repeating_coface():
+    # the coface repeats a point, so its point set is not larger
+    m = Matching([((0, 1, 2), (0, 1, 0, 2))])
+    assert m.coface_of((0, 1, 2)) == (0, 1, 0, 2)
 
 
 def test_matching_outside_complex_rejected():
@@ -167,11 +176,16 @@ def test_bounds_match_dfs_oracle_on_fixtures():
 
 
 def modified_arrows(cells, matching):
-    """Arrows of the modified Hasse digraph, from face pairs by brute force."""
+    """Arrows of the modified Hasse digraph, by testing every pair of cells
+    one apart in size for the face relation (drop one entry)."""
+    by_size = {}
+    for s in cells:
+        by_size.setdefault(len(s), []).append(s)
     arrows = set()
     for s in cells:
-        for f in cells:
-            if len(f) == len(s) - 1 and set(f) < set(s):
+        faces = {s[:i] + s[i + 1 :] for i in range(len(s))}
+        for f in by_size.get(len(s) - 1, ()):
+            if f in faces:
                 arrows.add((f, s) if matching.coface_of(f) == s else (s, f))
     return arrows
 
@@ -240,13 +254,48 @@ def test_verifiers_match_brute_force_on_random_matchings():
     assert cyclic >= 10 and acyclic >= 10
 
 
+def test_stamped_oracle_on_fixtures():
+    """The time-stamped cells the paper's Morse argument runs on give the
+    same digraph, verdicts, bounds and critical cells as plain sequences."""
+    tw = twist_from_doc(load_fixture("sycamore_twist"))
+    repeats = 0
+    for gl in (mv_gluing(), sycamore_gluing(), tw.x, tw.y):
+        sp = gl.space
+        for l in achievable_lengths(sp, 4):
+            cells = lightlike_simplices(sp, l)
+            m = projecting_matching(gl, l)
+            repeats += sum(len(set(c)) < len(c) for _, c in m)
+            stamp = {c: seq_time_stamps(sp, c) for c in cells}
+            stamped = [stamp[c] for c in cells]
+            sm = Matching((stamp[f], stamp[c]) for f, c in m)
+            arrows = modified_arrows(cells, m)
+            _, _, succ = morse._modified_hasse(cells, m)
+            assert arrows == {
+                (cells[s], cells[t]) for s, outs in enumerate(succ) for t in outs
+            }
+            _, _, ssucc = morse._modified_hasse(stamped, sm)
+            assert {(stamp[a], stamp[b]) for a, b in arrows} == {
+                (stamped[s], stamped[t]) for s, outs in enumerate(ssucc) for t in outs
+            }
+            assert verify_acyclic(cells, m).ok == verify_acyclic(stamped, sm).ok
+            rep, srep = verify_bounded(cells, m), verify_bounded(stamped, sm)
+            assert rep.ok == srep.ok
+            assert {stamp[c]: n for c, n in rep.bounds.items()} == srep.bounds
+            crit = sorted(stamp[c] for c in critical_cells(gl, l))
+            sticky_free = sorted(
+                stamp[c] for c in cells if classify_sequence(gl, c).kind != "sticky"
+            )
+            assert crit == sticky_free
+    assert repeats
+
+
 def test_lightlike_simplices_two_point():
     x = space("ab", [[0, 1], [1, 0]])
     at0 = lightlike_simplices(x, 0)
     assert sorted(len(s) for s in at0) == [1, 1]
     at1 = lightlike_simplices(x, 1)
-    assert len(at1) == 2
-    assert all(s[-1].time == 1 for s in at1)
+    assert at1 == [(0, 1), (1, 0)]
+    assert all(seq_length(x, s) == 1 for s in at1)
 
 
 def brute_sticky(gspec, seq):
@@ -300,8 +349,7 @@ def test_gate_insert_pair():
     assert sorted(gl.biased) == [3] and gl.gates == {3: 0}
     assert classify_sequence(gl, (2, 3)).kind == "sticky"
     m = projecting_matching(gl, 2)
-    face = seq_time_stamps(gl.space, (2, 3))
-    coface = seq_time_stamps(gl.space, (2, 0, 3))
+    face, coface = (2, 3), (2, 0, 3)
     assert m.coface_of(face) == coface
     assert m.is_matched(coface) and m.coface_of(coface) is None
 
@@ -312,7 +360,7 @@ def test_matching_pairs_preserve_length_and_endpoints():
         for face, coface in projecting_matching(gl, l):
             assert len(coface) == len(face) + 1
             assert face[0] == coface[0] and face[-1] == coface[-1]
-            assert face[-1].time == l
+            assert seq_length(gl.space, face) == l == seq_length(gl.space, coface)
 
 
 def test_critical_cell_counts_mv():
@@ -404,10 +452,7 @@ def test_all_biased_gluing_twist():
     side_h = tw.x.side_h()
     for l in (1, 2):
         for s in critical_cells(tw.x, l):
-            pts = [p for _, p in s]
-            one_sided = all(p in side_g for p in pts) or all(
-                p in side_h for p in pts
-            )
+            one_sided = all(p in side_g for p in s) or all(p in side_h for p in s)
             assert one_sided
 
 
@@ -500,6 +545,56 @@ def test_critical_cell_mismatch_raises_even_under_optimize(monkeypatch):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("raised critical cells differ")
+
+
+REPEAT_GATE = """
+def tampered(gspec, seq):
+    face, coface = full(gspec, seq)
+    return face, coface + (coface[-1],)
+"""
+
+STRETCH_GATE = """
+def tampered(gspec, seq):
+    face, coface = full(gspec, seq)
+    return face, coface + (coface[-2],)
+"""
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (REPEAT_GATE, "gate move produced a repeated point"),
+        (STRETCH_GATE, "gate move changed length"),
+    ],
+    ids=["repeat", "stretch"],
+)
+def test_gate_move_checks_raise_even_under_optimize(monkeypatch, tamper, message):
+    scope = {"full": morse._partner_sequence}
+    exec(tamper, scope)
+    monkeypatch.setattr(morse, "_partner_sequence", scope["tampered"])
+    with pytest.raises(NotAMatching, match=message):
+        projecting_matching(mv_gluing(), 2)
+    script = (
+        "from magtop import morse\n"
+        "from magtop.docs import gluing_from_doc, load_fixture\n"
+        "full = morse._partner_sequence\n"
+        + tamper
+        + "morse._partner_sequence = tampered\n"
+        "gl = gluing_from_doc(load_fixture('mv_triangles'))\n"
+        "try:\n"
+        "    print(len(morse.projecting_matching(gl, 2)))\n"
+        "except morse.NotAMatching as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(magtop.__file__))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "raised %s\n" % message
 
 
 def test_twist_rejections():
