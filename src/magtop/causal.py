@@ -79,9 +79,12 @@ def lightlike_sequences(space, a, b, l):
 
 
 def _reachable_lengths(space, start, budget):
-    """Map point -> set of scaled sequence lengths from start, up to budget."""
+    """Map point -> set of scaled sequence lengths from start, up to budget;
+    empty when the budget is negative."""
     scale, d = space._scaled
     budget = math.floor(Fraction(budget) * scale)
+    if budget < 0:
+        return {}
     n = space.n
     seen = {start: {0}}
     frontier = [(start, 0)]
@@ -265,9 +268,6 @@ class SimplicialComplex:
     def simplices(self):
         return sorted(self._sims, key=lambda s: (len(s), s))
 
-    def dims(self):
-        return sorted({len(s) - 1 for s in self._sims})
-
     def __le__(self, other):
         if self.is_void:
             return True
@@ -323,7 +323,9 @@ def order_complex_pair(space, a, b, l):
     poset gives the (void, void) pair.
     """
     l = Fraction(l)
-    poset = essential_poset(space, a, b, l)
+    # the essential poset, from the stamps the relative-part check reuses
+    stamped = {seq_time_stamps(space, s) for s in lightlike_sequences(space, a, b, l)}
+    poset = CausalPoset(space, a, b, l, set().union(*stamped))
     if not poset.points:
         return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
     chains = poset.chains()
@@ -336,9 +338,6 @@ def order_complex_pair(space, a, b, l):
     pair = SimplicialPair(total, sub)
     # the relative part must be exactly the stamped light-like sequences
     rel = set(pair.relative_simplices())
-    stamped = set(
-        seq_time_stamps(space, s) for s in lightlike_sequences(space, a, b, l)
-    )
     assert rel == stamped, "relative chains are not the light-like sequences"
     return pair
 

@@ -1,7 +1,9 @@
 """Integer chain complexes, Smith normal form, and magnitude homology.
 
-Boundary matrices are lists of integer rows (columns indexed by the degree-k
-basis, rows by the degree-(k-1) basis).  All elimination is fraction-free
+A boundary out of degree k is a list of sparse columns, one per degree-k
+generator, each a {row: value} map over the degree-(k-1) basis with no zero
+stored.  Only ChainComplex.matrix(k) spells a boundary out as dense integer
+rows, the input of the Smith normal form.  All elimination is fraction-free
 over Python ints, so ranks, Betti numbers, and torsion are exact.
 """
 
@@ -16,6 +18,7 @@ from .causal import (
     lightlike_sequences,
     order_complex_pair,
     pair_achievable_lengths,
+    seq_time_stamps,
 )
 
 
@@ -27,24 +30,6 @@ class BoundarySquareNonzero(AssertionError):
 class SNFResult:
     diag: tuple  # invariant factors, positive, each dividing the next
     rank: int
-
-
-def _mat_mul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    rows, mid, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(mid):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += v * bk[j]
-    return out
 
 
 def _pivot(rows):
@@ -128,7 +113,10 @@ class ChainComplex:
     """Finitely generated free chain complex over the integers.
 
     basis maps degree -> ordered list of generator keys; boundary maps
-    degree k to the integer matrix from degree k into degree k-1.
+    degree k to its columns, one {row: value} map per degree-k generator,
+    rows indexing the degree-(k-1) basis and no zero stored.  A degree
+    missing from boundary has the zero boundary.  matrix(k) is the one
+    dense form, read by the Smith normal form.
     """
 
     __slots__ = ("basis", "boundary")
@@ -145,21 +133,29 @@ class ChainComplex:
         return len(self.basis.get(k, ()))
 
     def matrix(self, k):
-        """Boundary matrix out of degree k; rows indexed by degree k-1."""
-        mat = self.boundary.get(k)
-        if mat is None:
-            return [[0] * self.rank(k) for _ in range(self.rank(k - 1))]
+        """Dense boundary matrix out of degree k; rows indexed by degree k-1."""
+        mat = [[0] * self.rank(k) for _ in range(self.rank(k - 1))]
+        for c, col in enumerate(self.boundary.get(k, ())):
+            for r, v in col.items():
+                mat[r][c] = v
         return mat
 
     def validate(self):
-        for k in self.degrees():
-            rows = self.matrix(k)
-            assert len(rows) == self.rank(k - 1)
-            for row in rows:
-                assert len(row) == self.rank(k)
-            if self.rank(k - 2) and self.rank(k):
-                square = _mat_mul(self.matrix(k - 1), rows)
-                if any(any(v for v in row) for row in square):
+        """Check the column shapes, then d o d = 0 column by column: each
+        column of d_k names the d_(k-1) columns whose combination must vanish."""
+        for k, cols in self.boundary.items():
+            n_below = self.rank(k - 1)
+            assert len(cols) == self.rank(k)
+            assert all(v and 0 <= r < n_below for col in cols for r, v in col.items())
+            below = self.boundary.get(k - 1)
+            if not below or not self.rank(k - 2):
+                continue
+            for col in cols:
+                square = {}
+                for r, v in col.items():
+                    for q, w in below[r].items():
+                        square[q] = square.get(q, 0) + v * w
+                if any(square.values()):
                     raise BoundarySquareNonzero("d o d != 0 out of degree %d" % k)
         return True
 
@@ -249,14 +245,17 @@ def face_complex(cells):
         gens.sort()
         index.update((s, i) for i, s in enumerate(gens))
     boundary = {}
-    for k, cols in basis.items():
-        mat = [[0] * len(cols) for _ in basis.get(k - 1, ())]
-        for c, s in enumerate(cols):
+    for k, gens in basis.items():
+        cols = boundary[k] = []
+        for s in gens:
+            col = {}
             for i in range(len(s)):
                 r = index.get(s[:i] + s[i + 1:])
                 if r is not None:
-                    mat[r][c] += (-1) ** i
-        boundary[k] = mat
+                    v = col.pop(r, 0) + (-1) ** i
+                    if v:
+                        col[r] = v
+            cols.append(col)
     return ChainComplex(basis, boundary)
 
 
@@ -299,8 +298,6 @@ def verify_chain_iso(space, a, b, l):
     """Check that stamping prefix times is a basis bijection from the
     sequence complex onto the relative order complex, commuting with the
     boundaries sign for sign."""
-    from .causal import seq_time_stamps
-
     l = Fraction(l)
     mag = magnitude_chain_complex(space, a, b, l)
     pair = order_complex_pair(space, a, b, l)
@@ -319,17 +316,11 @@ def verify_chain_iso(space, a, b, l):
         rel_index = {s: i for i, s in enumerate(rel.basis[k])}
         perm[k] = [rel_index[s] for s in image]
     for k in mag_degrees:
-        mg = mag.matrix(k)
-        rl = rel.matrix(k)
-        rows = perm.get(k - 1, [])
-        cols = perm[k]
-        for r in range(mag.rank(k - 1)):
-            for c in range(mag.rank(k)):
-                if mg[r][c] != rl[rows[r]][cols[c]]:
-                    return VerifyReport(
-                        False,
-                        "boundaries disagree out of degree %d" % k,
-                    )
+        rows = perm.get(k - 1)
+        rel_cols = rel.boundary[k]
+        for c, col in zip(perm[k], mag.boundary[k]):
+            if {rows[r]: v for r, v in col.items()} != rel_cols[c]:
+                return VerifyReport(False, "boundaries disagree out of degree %d" % k)
     return VerifyReport(True, "chain-level isomorphism on %d degrees" % len(mag_degrees))
 
 

@@ -148,9 +148,6 @@ class MetricSpace:
                     best = self.dist[i][j]
         return best
 
-    def max_distance(self):
-        return max(max(row) for row in self.dist)
-
     def __repr__(self):
         return "MetricSpace(%d points: %s)" % (self.n, ", ".join(self.labels))
 

@@ -134,6 +134,16 @@ def test_achievable_lengths_against_enumeration():
     assert achievable_lengths(sp, budget) == sorted(seen)
 
 
+def test_negative_budget_has_no_lengths():
+    sp = path_space()
+    assert achievable_lengths(sp, -1) == []
+    assert pair_achievable_lengths(sp, 0, 0, F(-1, 2)) == []
+    # budget 0 still admits the one-point sequence
+    assert achievable_lengths(sp, 0) == [F(0)]
+    assert pair_achievable_lengths(sp, 0, 0, F(0)) == [F(0)]
+    assert pair_achievable_lengths(sp, 0, 1, F(0)) == []
+
+
 def test_time_stamps_are_prefix_sums():
     sp = path_space()
     stamped = seq_time_stamps(sp, (0, 1, 2, 1))

@@ -1,5 +1,6 @@
 """Integer Smith reduction and the sequence homology of metric spaces."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from magtop import (
     verify_kunneth,
     verify_suspension_shift,
 )
-from magtop.homology import BoundarySquareNonzero
+from magtop.homology import BoundarySquareNonzero, VerifyReport
 
 F = Fraction
 
@@ -103,12 +104,13 @@ def test_chain_complex_rejects_nonsquare_zero():
     with pytest.raises(BoundarySquareNonzero):
         ChainComplex(
             {0: ["a"], 1: ["b"], 2: ["c"]},
-            {1: [[1]], 2: [[1]]},
+            {1: [{0: 1}], 2: [{0: 1}]},
         )
 
 
 def test_homology_reads_torsion_from_snf():
-    cc = ChainComplex({0: ["a"], 1: ["b"]}, {1: [[2]]})
+    cc = ChainComplex({0: ["a"], 1: ["b"]}, {1: [{0: 2}]})
+    assert cc.matrix(1) == [[2]]
     summary = homology(cc)
     assert summary.betti == ()
     assert summary.torsion == ((0, (2,)),)
@@ -205,7 +207,13 @@ def test_boundaries_match_length_rule_on_random_spaces():
                         cc = magnitude_chain_complex(sp, a, b, l)
                         basis, boundary = length_rule_boundaries(sp, a, b, l)
                         assert cc.basis == basis
-                        assert cc.boundary == boundary, (den_max, seed, a, b, l)
+                        for k, mat in boundary.items():
+                            assert cc.matrix(k) == mat, (den_max, seed, a, b, l, k)
+                        assert all(
+                            all(col.values())
+                            for cols in cc.boundary.values()
+                            for col in cols
+                        )
                         nonzero += sum(
                             1 for mat in boundary.values() for row in mat for v in row if v
                         )
@@ -253,6 +261,30 @@ def test_chain_iso_over_small_corpus():
                 for l in pair_achievable_lengths(sp, a, b, F(3)):
                     rep = verify_chain_iso(sp, a, b, l)
                     assert rep.ok, (name, a, b, l, rep.detail)
+
+
+def test_chain_iso_reports_a_negated_generator(monkeypatch):
+    # Negating one generator (its column in d_k and its row in d_(k+1)) keeps
+    # d o d = 0 but breaks the sign-for-sign correspondence.  The module is
+    # reached through importlib because magtop.homology names the function.
+    homology_module = importlib.import_module("magtop.homology")
+    original = homology_module.relative_chain_complex
+
+    def negated(pair, augmented=False):
+        cc = original(pair, augmented)
+        k = max(cc.degrees())
+        g = next(c for c, col in enumerate(cc.boundary[k]) if col)
+        boundary = {d: [dict(col) for col in cols] for d, cols in cc.boundary.items()}
+        boundary[k][g] = {r: -v for r, v in boundary[k][g].items()}
+        for col in boundary.get(k + 1, ()):
+            if g in col:
+                col[g] = -col[g]
+        return ChainComplex(cc.basis, boundary)
+
+    monkeypatch.setattr(homology_module, "relative_chain_complex", negated)
+    # on k3 and k4 every sequence boundary up to length 4 is zero
+    rep = verify_chain_iso(fixture_space("c4"), 0, 0, F(4))
+    assert rep == VerifyReport(False, "boundaries disagree out of degree 4")
 
 
 def test_suspension_shift_over_small_corpus():

@@ -80,6 +80,8 @@ def frame_steps_fraction(space, steps):
 
 
 def reachable_lengths_fraction(space, start, budget):
+    if budget < 0:
+        return {}
     d = space.dist
     seen = {start: {F(0)}}
     frontier = [(start, F(0))]
