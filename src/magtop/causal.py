@@ -20,6 +20,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .metric import InternalFault, seq_length
+
 
 class InvalidLength(ValueError):
     pass
@@ -306,12 +308,19 @@ class SimplicialPair:
         return "SimplicialPair(total=%s, sub=%s)" % (self.total.state, self.sub.state)
 
 
-def _chain_seq_length(space, chain):
-    """Length of the underlying point sequence of a chain (time order)."""
-    total = Fraction(0)
-    for i in range(1, len(chain)):
-        total += space.dist[chain[i - 1].point][chain[i].point]
-    return total
+def _chain_pair(chains, is_short, sub_void):
+    """Order complex of chains relative to its short chains.
+
+    The chains come ascending and closed under faces, so they are stored as
+    they are.  The sub side is void when sub_void, and then no chain may be
+    short.
+    """
+    total = SimplicialComplex(False, chains)
+    if sub_void:
+        assert not any(map(is_short, chains)), "a chain undercuts l"
+        return SimplicialPair(total, SimplicialComplex.void())
+    short = [c for c in chains if is_short(c)]
+    return SimplicialPair(total, SimplicialComplex(False, short))
 
 
 def order_complex_pair(space, a, b, l):
@@ -328,17 +337,14 @@ def order_complex_pair(space, a, b, l):
     poset = CausalPoset(space, a, b, l, set().union(*stamped))
     if not poset.points:
         return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
-    chains = poset.chains()
-    short = [c for c in chains if _chain_seq_length(space, c) < l]
-    total = SimplicialComplex.of(chains)
-    if l == 0:
-        assert not short
-        return SimplicialPair(total, SimplicialComplex.void())
-    sub = SimplicialComplex.of(short)
-    pair = SimplicialPair(total, sub)
+    pair = _chain_pair(
+        poset.chains(),
+        lambda c: seq_length(space, [p for _, p in c]) < l,
+        l == 0,
+    )
     # the relative part must be exactly the stamped light-like sequences
-    rel = set(pair.relative_simplices())
-    assert rel == stamped, "relative chains are not the light-like sequences"
+    if pair.total._sims - pair.sub._sims != stamped:
+        raise InternalFault("relative chains are not the light-like sequences")
     return pair
 
 
@@ -360,19 +366,8 @@ def inner_pair(space, a, b, l):
     ends = {CausalPoint(Fraction(0), a), CausalPoint(l, b)}
     mid = [p for p in poset.points if p not in ends]
     mid_poset = CausalPoset(space, a, b, l, mid)
-    chains = mid_poset.chains()
-    total = SimplicialComplex.of(chains) if chains else SimplicialComplex.empty()
-    d = space.dist
-    short = []
-    for c in chains:
-        padded = d[a][c[0].point] + _chain_seq_length(space, c) + d[c[-1].point][b]
-        if padded < l:
-            short.append(c)
-    if d_ab >= l:
-        assert not short, "a chain undercuts l although d(a,b) = l"
-        sub = SimplicialComplex.void()
-    elif short:
-        sub = SimplicialComplex.of(short)
-    else:
-        sub = SimplicialComplex.empty()
-    return SimplicialPair(total, sub)
+    return _chain_pair(
+        mid_poset.chains(),
+        lambda c: seq_length(space, [a] + [p for _, p in c] + [b]) < l,
+        d_ab >= l,
+    )

@@ -3,7 +3,9 @@
 Subcommands parse space documents, run the exact computations, and print
 deterministic tables or JSON.  Exit codes are part of the contract:
 0 pass, 1 check mismatch, 2 parse problem, 3 metric-axiom violation,
-4 unresolvable label, 5 hypothesis unmet, 141 output closed early.
+4 unresolvable label, 5 hypothesis unmet, 70 internal fault (a check on
+the program's own work failed, so no verdict is printed), 141 output
+closed early.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .homology import (
     verify_kunneth,
     verify_suspension_shift,
 )
-from .metric import LabelError, MetricError, random_metric_space
+from .metric import InternalFault, LabelError, MetricError, random_metric_space
 from .morse import NotASycamoreTwist, critical_cells, verify_sycamore
 from .mv import NotGated, verify_mv, verify_union
 from .series import euler_check, format_series, magnitude, weighting
@@ -69,6 +71,7 @@ PARSE_CODE = 2
 METRIC_CODE = 3
 LABEL_CODE = 4
 REFUSED_CODE = 5
+FAULT_CODE = 70  # EX_SOFTWARE in sysexits.h
 PIPE_CODE = 141  # what a shell reports for a process ended by SIGPIPE
 
 
@@ -122,12 +125,37 @@ def _selected_pairs(space, from_label, to_label):
     return [(a, b) for a in sources for b in targets]
 
 
-def _finish(ok, detail=""):
-    line = "PASS" if ok else "FAIL"
-    if detail:
-        line += ": " + detail
-    print(line)
+def _verdict(args, ok, fields, header, lines=(), detail=""):
+    """Print the verdict of a verify check and return its exit code.
+
+    JSON is one object: check, ok and the check's own fields.  A table is
+    the header, the body lines and a PASS or FAIL line ending in detail.
+    """
+    if args.format == "json":
+        _emit_json(dict(fields, check=args.check, ok=ok))
+    else:
+        print(header)
+        for line in lines:
+            print(line)
+        verdict = "PASS" if ok else "FAIL"
+        print(verdict + ": " + detail if detail else verdict)
     return PASS_CODE if ok else MISMATCH_CODE
+
+
+def _rows_verdict(args, report, header, degree, left, right):
+    """Verdict of a report whose rows compare two counts per length and
+    degree: degree labels the table column, left and right the JSON keys."""
+    rows = [
+        {"l": format_rational(l), "k": k, left: cl, right: cr, "ok": same}
+        for l, k, cl, cr, same in report.rows
+    ]
+    lines = [
+        "l=%s %s=%d: %d vs %d %s"
+        % (format_rational(l), degree, k, cl, cr, "ok" if same else "MISMATCH")
+        for l, k, cl, cr, same in report.rows
+    ]
+    fields = {"rows": rows, "detail": report.detail}
+    return _verdict(args, report.ok, fields, header, lines, report.detail)
 
 
 def _run_tasks(worker, tasks, jobs):
@@ -374,7 +402,8 @@ def cmd_hasse(args):
     return PASS_CODE
 
 
-def _verify_pairwise(kind, space, lmax, jobs, fmt):
+def _verify_pairwise(args, space, lmax):
+    kind = args.check
     tasks = []
     for a in range(space.n):
         for b in range(space.n):
@@ -382,7 +411,7 @@ def _verify_pairwise(kind, space, lmax, jobs, fmt):
                 if kind == "suspension" and l == 0:
                     continue  # the stripped model needs distinct cone points
                 tasks.append((kind, space, a, b, l))
-    results = _run_tasks(_pair_check, tasks, jobs)
+    results = _run_tasks(_pair_check, tasks, args.jobs)
     by_length = {}
     failures = []
     for a, b, l, ok, detail in results:
@@ -392,68 +421,19 @@ def _verify_pairwise(kind, space, lmax, jobs, fmt):
                 "(%s,%s) length %s: %s"
                 % (space.labels[a], space.labels[b], format_rational(l), detail)
             )
-    if fmt == "json":
-        _emit_json(
-            {
-                "check": kind,
-                "ok": not failures,
-                "cases": len(results),
-                "failures": failures,
-            }
-        )
-        return PASS_CODE if not failures else MISMATCH_CODE
-    print("# %s up to length %s" % (kind, format_rational(lmax)))
-    for l in sorted(by_length):
-        print("length %s: %d cases" % (format_rational(l), by_length[l]))
-    for line in failures:
-        print("FAIL at %s" % line)
-    return _finish(not failures, "%d cases" % len(results) if not failures else "")
-
-
-def _additivity_exit(report, fmt, tag):
-    if isinstance(report, NotGated):
-        if fmt == "json":
-            _emit_json(
-                {
-                    "check": tag,
-                    "refused": True,
-                    "witness": report.witness,
-                    "detail": report.detail,
-                }
-            )
-        else:
-            print(
-                "refused: gluing is not gated (%s)" % (report.detail or report.witness)
-            )
-        return REFUSED_CODE
-    rows = [
-        {
-            "l": format_rational(l),
-            "k": k,
-            "left": left,
-            "right": right,
-            "ok": ok,
-        }
-        for l, k, left, right, ok in report.rows
+    lines = [
+        "length %s: %d cases" % (format_rational(l), by_length[l])
+        for l in sorted(by_length)
     ]
-    if fmt == "json":
-        _emit_json(
-            {"check": tag, "ok": report.ok, "rows": rows, "detail": report.detail}
-        )
-        return PASS_CODE if report.ok else MISMATCH_CODE
-    print("# %s additivity" % tag)
-    for row in rows:
-        print(
-            "l=%s k=%d: %d vs %d %s"
-            % (
-                row["l"],
-                row["k"],
-                row["left"],
-                row["right"],
-                "ok" if row["ok"] else "MISMATCH",
-            )
-        )
-    return _finish(report.ok, report.detail)
+    lines += ["FAIL at %s" % line for line in failures]
+    return _verdict(
+        args,
+        not failures,
+        {"cases": len(results), "failures": failures},
+        "# %s up to length %s" % (kind, format_rational(lmax)),
+        lines,
+        "" if failures else "%d cases" % len(results),
+    )
 
 
 def cmd_verify(args):
@@ -466,73 +446,57 @@ def cmd_verify(args):
         )
     if args.check in ("chain-iso", "suspension", "frames"):
         space = _load_space(args.inputs[0], args.seed)
-        return _verify_pairwise(args.check, space, lmax, args.jobs, args.format)
+        return _verify_pairwise(args, space, lmax)
     if args.check == "kunneth":
         x = _load_space(args.inputs[0], args.seed)
         y = _load_space(args.inputs[1], args.seed + 1)
         report = verify_kunneth(x, y, lmax)
-        if args.format == "json":
-            _emit_json(
-                {"check": "kunneth", "ok": report.ok, "detail": report.detail}
-            )
-            return PASS_CODE if report.ok else MISMATCH_CODE
-        print("# kunneth up to length %s" % format_rational(lmax))
-        return _finish(report.ok, report.detail)
+        header = "# kunneth up to length %s" % format_rational(lmax)
+        fields = {"detail": report.detail}
+        return _verdict(args, report.ok, fields, header, detail=report.detail)
     if args.check == "euler":
         space = _load_space(args.inputs[0], args.seed)
         report = euler_check(space, lmax)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "check": "euler",
-                    "ok": report.ok,
-                    "checked": report.checked,
-                    "mismatches": [
-                        [format_rational(l), a, b, str(coeff), chi]
-                        for l, a, b, coeff, chi in report.mismatches
-                    ],
-                }
-            )
-            return PASS_CODE if report.ok else MISMATCH_CODE
-        print("# euler: %d coefficients checked" % report.checked)
-        for l, a, b, coeff, chi in report.mismatches:
-            print(
-                "FAIL at (%s,%s) length %s: coefficient %s vs euler %d"
-                % (a, b, format_rational(l), coeff, chi)
-            )
-        return _finish(report.ok)
+        fields = {
+            "checked": report.checked,
+            "mismatches": [
+                [format_rational(l), a, b, str(coeff), chi]
+                for l, a, b, coeff, chi in report.mismatches
+            ],
+        }
+        lines = [
+            "FAIL at (%s,%s) length %s: coefficient %s vs euler %d"
+            % (a, b, format_rational(l), coeff, chi)
+            for l, a, b, coeff, chi in report.mismatches
+        ]
+        header = "# euler: %d coefficients checked" % report.checked
+        return _verdict(args, report.ok, fields, header, lines)
     if args.check in ("union", "mv"):
         gspec = gluing_from_doc(_load_document(args.inputs[0]))
         verifier = verify_union if args.check == "union" else verify_mv
-        return _additivity_exit(verifier(gspec, lmax), args.format, args.check)
+        report = verifier(gspec, lmax)
+        if isinstance(report, NotGated):
+            if args.format == "json":
+                _emit_json(
+                    {
+                        "check": args.check,
+                        "refused": True,
+                        "witness": report.witness,
+                        "detail": report.detail,
+                    }
+                )
+            else:
+                print(
+                    "refused: gluing is not gated (%s)"
+                    % (report.detail or report.witness)
+                )
+            return REFUSED_CODE
+        header = "# %s additivity" % args.check
+        return _rows_verdict(args, report, header, "k", "left", "right")
     twist = twist_from_doc(_load_document(args.inputs[0]))
     report = verify_sycamore(twist, lmax)
-    if args.format == "json":
-        _emit_json(
-            {
-                "check": "sycamore",
-                "ok": report.ok,
-                "rows": [
-                    {
-                        "l": format_rational(l),
-                        "k": k,
-                        "x": cx,
-                        "y": cy,
-                        "ok": ok,
-                    }
-                    for l, k, cx, cy, ok in report.rows
-                ],
-                "detail": report.detail,
-            }
-        )
-        return PASS_CODE if report.ok else MISMATCH_CODE
-    print("# sycamore up to length %s" % format_rational(lmax))
-    for l, k, cx, cy, ok in report.rows:
-        print(
-            "l=%s dim=%d: %d vs %d %s"
-            % (format_rational(l), k, cx, cy, "ok" if ok else "MISMATCH")
-        )
-    return _finish(report.ok, report.detail)
+    header = "# sycamore up to length %s" % format_rational(lmax)
+    return _rows_verdict(args, report, header, "dim", "x", "y")
 
 
 def _add_common(sub, jobs=False):
@@ -641,6 +605,9 @@ def main(argv=None):
     except MetricError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return METRIC_CODE
+    except InternalFault as exc:
+        print("internal fault: %s" % (exc,), file=sys.stderr)
+        return FAULT_CODE
 
 
 def entry():

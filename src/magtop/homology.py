@@ -20,9 +20,10 @@ from .causal import (
     pair_achievable_lengths,
     seq_time_stamps,
 )
+from .metric import InternalFault
 
 
-class BoundarySquareNonzero(AssertionError):
+class BoundarySquareNonzero(InternalFault):
     pass
 
 
@@ -287,8 +288,13 @@ def relative_chain_complex(pair, augmented=False):
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """A verifier's verdict: pass or fail, a one-line detail and, for the
+    checks that compare counts, rows shaped (length, degree, left count,
+    right count, equal)."""
+
     ok: bool
     detail: str = ""
+    rows: tuple = ()
 
     def __bool__(self):
         return self.ok

@@ -18,6 +18,11 @@ from fractions import Fraction
 INFINITE = math.inf  # marker for "no four-cut exists"; never a rational
 
 
+class InternalFault(AssertionError):
+    """A check the program makes on its own work failed: a defect in the
+    program, never a verdict about the input."""
+
+
 class MetricError(ValueError):
     """A distance matrix violates one of the metric axioms."""
 
@@ -358,7 +363,6 @@ class GluingSpec:
     k_in_g: tuple
     k_in_h: tuple
     space: MetricSpace
-    g_to_x: tuple
     h_to_x: tuple
     interior_g: frozenset
     kset: frozenset
@@ -402,7 +406,6 @@ def glue(g, h, k_in_g, k_in_h):
     if len(set(labels)) != len(labels):
         raise MetricError("label collision between g and interior of h")
     n = len(labels)
-    g_to_x = tuple(range(g.n))
     h_to_x = [None] * h.n
     for t in range(m):
         h_to_x[k_in_h[t]] = k_in_g[t]
@@ -448,7 +451,8 @@ def glue(g, h, k_in_g, k_in_h):
             neutral.add(glued)
         else:
             # two distinct gates would force distance zero between them
-            assert len(candidates) == 1, "non-unique gate"
+            if len(candidates) > 1:
+                raise InternalFault("non-unique gate for %s" % (h.labels[j_h],))
             biased.add(glued)
             gates[glued] = k_in_g[candidates[0]]
     return GluingSpec(
@@ -457,7 +461,6 @@ def glue(g, h, k_in_g, k_in_h):
         k_in_g=k_in_g,
         k_in_h=k_in_h,
         space=space,
-        g_to_x=g_to_x,
         h_to_x=h_to_x,
         interior_g=interior_g,
         kset=kset,

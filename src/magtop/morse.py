@@ -21,14 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .causal import achievable_lengths, lightlike_sequences
-from .metric import glue, seq_length
+from .homology import VerifyReport
+from .metric import InternalFault, glue, seq_length
 
 
 class NotAMatching(ValueError):
     pass
 
 
-class GateMissing(AssertionError):
+class GateMissing(InternalFault):
     pass
 
 
@@ -36,7 +37,7 @@ class NotASycamoreTwist(ValueError):
     pass
 
 
-class CriticalCellsMismatch(AssertionError):
+class CriticalCellsMismatch(InternalFault):
     pass
 
 
@@ -421,7 +422,7 @@ class SycamoreTwist:
         self.alpha = alpha
         self.x = x
         self.y = y
-        common = {x.g_to_x[k_in_g[alpha[t]]]: x.g_to_x[k_in_g[t]] for t in range(m)}
+        common = {k_in_g[alpha[t]]: k_in_g[t] for t in range(m)}
         self.tau_h = {p: common.get(p, p) for p in x.side_h()}
 
     def reverse(self):
@@ -458,16 +459,6 @@ def sycamore_tau(twist, seq):
         else:
             out.extend(image)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class SycamoreReport:
-    ok: bool
-    rows: tuple  # (length, dim, count in x, count in y, equal)
-    detail: str = ""
-
-    def __bool__(self):
-        return self.ok
 
 
 def _by_dim(cells):
@@ -560,4 +551,4 @@ def verify_sycamore(twist, lmax):
     detail = "; ".join(problems) if problems else (
         "bijection, Euler counts, and magnitude agree up to q^%s" % (lmax,)
     )
-    return SycamoreReport(not problems, tuple(rows), detail)
+    return VerifyReport(not problems, detail, tuple(rows))

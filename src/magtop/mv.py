@@ -14,14 +14,15 @@ from fractions import Fraction
 from .causal import achievable_lengths, lightlike_sequences
 from .homology import (
     HomologySummary,
+    VerifyReport,
     face_complex,
     homology,
     magnitude_homology_total,
 )
-from .metric import GluingSpec, is_smooth, restriction
+from .metric import GluingSpec, InternalFault, is_smooth, restriction
 
 
-class FaceEscapedInterior(AssertionError):
+class FaceEscapedInterior(InternalFault):
     pass
 
 
@@ -97,16 +98,6 @@ def interior_part_betti(gated, l):
     return total
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
-    ok: bool
-    rows: tuple  # (length, degree, left rank, right rank, equal)
-    detail: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
 def _lengths(spaces, lmax):
     out = set()
     for s in spaces:
@@ -145,7 +136,7 @@ def verify_union(g, lmax):
     detail = "; ".join(problems) if problems else (
         "interior part plus base side matches up to q^%s" % (lmax,)
     )
-    return AdditivityReport(not problems, tuple(rows), detail)
+    return VerifyReport(not problems, detail, tuple(rows))
 
 
 def verify_mv(g, lmax):
@@ -169,4 +160,4 @@ def verify_mv(g, lmax):
     detail = "; ".join(problems) if problems else (
         "additivity holds up to q^%s" % (lmax,)
     )
-    return AdditivityReport(not problems, tuple(rows), detail)
+    return VerifyReport(not problems, detail, tuple(rows))

@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line front end."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -379,6 +382,65 @@ def test_exit_mismatch_on_failing_check(capsys, monkeypatch):
     assert out.splitlines()[-1] == "FAIL"
 
 
+# each stub makes a real internal check fail: with every sequence sticky
+# the critical cells differ from the sticky-free ones, with every point
+# smooth a full-length face escapes the interior of the attached side, and
+# with no chain short the relative chains outnumber the stamped sequences
+FAULTS = [
+    (
+        ["critical-cells", "fixture:mv_triangles", "--l", "1"],
+        "magtop.morse",
+        "classify_sequence",
+        "lambda *args: SequenceClass('sticky')",
+    ),
+    (
+        ["verify", "union", "fixture:mv_triangles", "--lmax", "1"],
+        "magtop.mv",
+        "is_smooth",
+        "lambda *args: True",
+    ),
+    (
+        ["verify", "chain-iso", "fixture:two_point", "--lmax", "1"],
+        "magtop.causal",
+        "seq_length",
+        "lambda *args: 10**9",
+    ),
+]
+FAULT_IDS = ["critical-cells", "verify-union", "verify-chain-iso"]
+
+
+@pytest.mark.parametrize("argv, module, name, stub", FAULTS, ids=FAULT_IDS)
+def test_internal_fault_exit_code(capsys, monkeypatch, argv, module, name, stub):
+    mod = importlib.import_module(module)
+    monkeypatch.setattr(mod, name, eval(stub, vars(mod)))
+    code, out, err = run(capsys, argv)
+    assert code == cli.FAULT_CODE == 70
+    assert out == ""
+    assert err.startswith("internal fault: ")
+
+
+@pytest.mark.parametrize("argv, module, name, stub", FAULTS, ids=FAULT_IDS)
+def test_internal_fault_exit_code_under_optimize(argv, module, name, stub):
+    # python -O strips every assert; the internal checks still raise
+    src = os.path.dirname(os.path.dirname(magtop.__file__))
+    script = (
+        "import importlib\n"
+        "from magtop import cli\n"
+        "mod = importlib.import_module(%r)\n"
+        "setattr(mod, %r, eval(%r, vars(mod)))\n"
+        "cli.entry()\n" % (module, name, stub)
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script] + argv,
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == cli.FAULT_CODE
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"internal fault: ")
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(
         capsys,
@@ -397,3 +459,121 @@ def test_verify_json_format(capsys):
     assert doc["check"] == "chain-iso" and doc["ok"] is True
     assert doc["failures"] == []
     assert out.strip() == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _failing(name, edit):
+    """Install a stub for cli.<name> that rewrites the real report."""
+
+    def install(monkeypatch):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: edit(real(*args), *args))
+
+    return install
+
+
+def _mismatch_last_row(report, *_):
+    l, k, left, right, _ = report.rows[-1]
+    return replace(
+        report,
+        ok=False,
+        rows=report.rows[:-1] + ((l, k, left, right + 1, False),),
+        detail="injected rank at length %s degree %d" % (l, k),
+    )
+
+
+# structural identities hold on every valid input, so each failing verdict
+# is injected by rewriting the report the real verifier returns
+VERDICT_CASES = {
+    "chain-iso": (["chain-iso", "fixture:two_point", "--lmax", "2"], None),
+    "suspension": (["suspension", "fixture:two_point", "--lmax", "2"], None),
+    "kunneth": (
+        ["kunneth", "fixture:two_point", "fixture:p2", "--lmax", "2"],
+        None,
+    ),
+    "euler": (["euler", "fixture:k3", "--lmax", "2"], None),
+    "union": (["union", "fixture:mv_triangles", "--lmax", "2"], None),
+    "mv": (["mv", "fixture:mv_triangles", "--lmax", "2"], None),
+    "sycamore": (["sycamore", "fixture:sycamore_twist", "--lmax", "1"], None),
+    "frames": (["frames", "fixture:p2", "--lmax", "2"], None),
+    "union-refused": (["union", "fixture:sycamore_gluing", "--lmax", "1"], None),
+    "mv-refused": (["mv", "fixture:sycamore_gluing", "--lmax", "1"], None),
+    "kunneth-fail": (
+        ["kunneth", "fixture:two_point", "fixture:p2", "--lmax", "2"],
+        _failing(
+            "verify_kunneth",
+            lambda rep, *_: replace(rep, ok=False, detail="injected mismatch"),
+        ),
+    ),
+    "euler-fail": (
+        ["euler", "fixture:k3", "--lmax", "2"],
+        _failing(
+            "euler_check",
+            lambda rep, *_: replace(
+                rep, ok=False, mismatches=((Fraction(2), "a", "b", Fraction(3), 2),)
+            ),
+        ),
+    ),
+    "chain-iso-fail": (
+        ["chain-iso", "fixture:two_point", "--lmax", "2"],
+        _failing(
+            "verify_chain_iso",
+            lambda rep, space, a, b, l: (
+                replace(rep, ok=False, detail="injected")
+                if (a, b, l) == (0, 1, 1)
+                else rep
+            ),
+        ),
+    ),
+    "union-fail": (
+        ["union", "fixture:mv_triangles", "--lmax", "2"],
+        _failing("verify_union", _mismatch_last_row),
+    ),
+    "sycamore-fail": (
+        ["sycamore", "fixture:sycamore_twist", "--lmax", "1"],
+        _failing("verify_sycamore", _mismatch_last_row),
+    ),
+}
+
+VERDICT_PINS = {
+    ("chain-iso", "json"): (0, "92673fb015dd09cd5e76078f0927917d4179127d73c9030c2ec735446aebfee1"),
+    ("chain-iso", "table"): (0, "57b672735f3c0b25ae0e3c06387b6c6952dcb4fc4c398e4342b18e9fba92a34d"),
+    ("chain-iso-fail", "json"): (1, "3b49e89b6c69be38571ad95be474439c0cc4b39820ee42142eb808c0adfb450b"),
+    ("chain-iso-fail", "table"): (1, "c898a9fe35dba0199a01b942b19bd3c259e0c48f1173a11fc086455049c44794"),
+    ("euler", "json"): (0, "b57130afdaf858a291f75c0a83b2bffba6a709c6e5076a201eecc16e50ed15eb"),
+    ("euler", "table"): (0, "11fb12c7ef62a6bbdfb45e9b29f33834f667de242a8f417405e38972ca847264"),
+    ("euler-fail", "json"): (1, "910701e227f86ec99ea404a35b21998e6a1a0020a2eca0380d3a2a86c754efc0"),
+    ("euler-fail", "table"): (1, "cf69d8db1bdda7d2c4c63436a835fb3df9e258c975a50c833f44e495bfe4cafa"),
+    ("frames", "json"): (0, "5c51915e718b813ab6a2f5c08d1b34602ad478a77a444748377066d6e71e7c60"),
+    ("frames", "table"): (0, "3f794422fa6f031825791709a8e2489c1c5fe6b86926b22d7f9ce9542698a65b"),
+    ("kunneth", "json"): (0, "6f878758b1e1876b82306b2034a98243dddcfa1e3bf198d834e45539c87fb285"),
+    ("kunneth", "table"): (0, "b65c3e42fea81406457225de72b854b9976b228e8ebd4db11577a0f47d1066f4"),
+    ("kunneth-fail", "json"): (1, "88f020c21860b21341f7cb09c168bf9b96f7a4be0afc5f9196c9237cb4ac2abc"),
+    ("kunneth-fail", "table"): (1, "63c97dfe901cb53f08039bc830a87fcf188f1ac70f77badb387cdc2ab2d0e167"),
+    ("mv", "json"): (0, "6d4edfc705fe85382ef260bb6f278e06bc56ce98f42387eddf2b87e4ade4e0dd"),
+    ("mv", "table"): (0, "ca3972ccfd66c30aa54b940af6333e74167b96bf90e4cc299fb905a1e7608069"),
+    ("mv-refused", "json"): (5, "59fdcd6f8e70ac00ad823654e4d943b1f2e8cbffc96e9ce2f150593b8dc4b447"),
+    ("mv-refused", "table"): (5, "e4f03c672fd644414bd4747730bbe18092570f2765411cf2cbc23983dd486c93"),
+    ("suspension", "json"): (0, "8f9a7eb911f4283066ae679adc36212161bf2a8214879f0005aa7ad010c297ae"),
+    ("suspension", "table"): (0, "de75fab12332177f6325aa14be90d3b6f4e4025a6be4bd508f173675bbd7b75f"),
+    ("sycamore", "json"): (0, "5ec73f7123c518e4e147733904053240ecb7f9fc7a70766941f906cbee988975"),
+    ("sycamore", "table"): (0, "0e6620687fe01e6d7cbfee20076fb42ec84429348d402532f161ddf192cb6857"),
+    ("sycamore-fail", "json"): (1, "0538f2cbf2357663c5c50321f884182c5ed366b38ac85f47c40497d7df82e710"),
+    ("sycamore-fail", "table"): (1, "47211b42f99a3012639618ec4ce52562a8adce191dab3c46fa05376b7e001660"),
+    ("union", "json"): (0, "568b255f89cde0ba44d5d9cc28a88b00a1ee047c388cc459ad1aae4968358312"),
+    ("union", "table"): (0, "bd6c19210ff5830cc9182fbb4f7bbfa3fdbdae6b6b67d065b80a4575ab0ccab6"),
+    ("union-fail", "json"): (1, "6662b4532d884f7cd1a7b78d0f39aa5750d6141c17a1eaa2428f57f773e21df7"),
+    ("union-fail", "table"): (1, "9857b1a83a3822d401478a21650b3a87c9210a3cd0fd85496efbf2af701babbc"),
+    ("union-refused", "json"): (5, "45a4e6bdb31413a132cdfc396059c869985c4909c969d3d46b5eb00a0b3d0296"),
+    ("union-refused", "table"): (5, "e4f03c672fd644414bd4747730bbe18092570f2765411cf2cbc23983dd486c93"),
+}
+
+
+@pytest.mark.parametrize("case, fmt", sorted(VERDICT_PINS))
+def test_verify_output_pinned(capsys, monkeypatch, case, fmt):
+    argv, stub = VERDICT_CASES[case]
+    if stub is not None:
+        stub(monkeypatch)
+    code, out, _ = run(capsys, ["verify"] + argv + ["--format", fmt])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERDICT_PINS[
+        case, fmt
+    ]
