@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands parse space documents, run the exact computations, and print
-deterministic tables or JSON.  Exit codes are part of the contract:
-0 pass, 1 check mismatch, 2 parse problem, 3 metric-axiom violation,
-4 unresolvable label, 5 hypothesis unmet, 70 internal fault (a check on
-the program's own work failed, so no verdict is printed), 141 output
-closed early.
+Subcommands parse space documents and run the exact computations.  Each
+returns (exit code, JSON document, table lines) and prints nothing;
+main prints the one form --format asks for once the command has
+returned, so a run that fails prints no partial result.  Exit codes are
+part of the contract: 0 pass, 1 check mismatch, 2 parse problem,
+3 metric-axiom violation, 4 unresolvable label, 5 hypothesis unmet,
+70 internal fault (a check on the program's own work failed, so no
+verdict is printed), 141 output closed early.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from .causal import (
@@ -49,7 +52,7 @@ from .homology import (
     verify_kunneth,
     verify_suspension_shift,
 )
-from .metric import InternalFault, LabelError, MetricError, random_metric_space
+from .metric import LabelError, MetricError, random_metric_space
 from .morse import NotASycamoreTwist, critical_cells, verify_sycamore
 from .mv import NotGated, verify_mv, verify_union
 from .series import euler_check, format_series, magnitude, weighting
@@ -105,10 +108,6 @@ def _length_arg(text):
     return value
 
 
-def _emit_json(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
 def _torsion_text(factors):
     return ",".join(str(f) for f in factors) if factors else "-"
 
@@ -126,20 +125,16 @@ def _selected_pairs(space, from_label, to_label):
 
 
 def _verdict(args, ok, fields, header, lines=(), detail=""):
-    """Print the verdict of a verify check and return its exit code.
+    """Result of a verify check.
 
-    JSON is one object: check, ok and the check's own fields.  A table is
-    the header, the body lines and a PASS or FAIL line ending in detail.
+    The document is one object: check, ok and the check's own fields.  The
+    table is the header, the body lines and a PASS or FAIL line ending in
+    detail.
     """
-    if args.format == "json":
-        _emit_json(dict(fields, check=args.check, ok=ok))
-    else:
-        print(header)
-        for line in lines:
-            print(line)
-        verdict = "PASS" if ok else "FAIL"
-        print(verdict + ": " + detail if detail else verdict)
-    return PASS_CODE if ok else MISMATCH_CODE
+    verdict = "PASS" if ok else "FAIL"
+    table = [header, *lines, verdict + ": " + detail if detail else verdict]
+    code = PASS_CODE if ok else MISMATCH_CODE
+    return code, dict(fields, check=args.check, ok=ok), table
 
 
 def _rows_verdict(args, report, header, degree, left, right):
@@ -188,24 +183,16 @@ def _pair_check(task):
 def cmd_magnitude(args):
     space = _load_space(args.input, args.seed)
     lmax = _length_arg(args.lmax)
-    series = magnitude(space, lmax)
-    weights = weighting(space, lmax)
-    if args.format == "json":
-        _emit_json(
-            {
-                "lmax": format_rational(lmax),
-                "magnitude": format_series(series),
-                "weighting": {
-                    space.labels[i]: format_series(w)
-                    for i, w in enumerate(weights)
-                },
-            }
-        )
-        return PASS_CODE
-    print("Mag = %s" % format_series(series))
-    for i, w in enumerate(weights):
-        print("w(%s) = %s" % (space.labels[i], format_series(w)))
-    return PASS_CODE
+    series = format_series(magnitude(space, lmax))
+    weights = [format_series(w) for w in weighting(space, lmax)]
+    doc = {
+        "lmax": format_rational(lmax),
+        "magnitude": series,
+        "weighting": dict(zip(space.labels, weights)),
+    }
+    lines = ["Mag = %s" % series]
+    lines += ["w(%s) = %s" % pair for pair in zip(space.labels, weights)]
+    return PASS_CODE, doc, lines
 
 
 def cmd_homology(args):
@@ -216,79 +203,61 @@ def cmd_homology(args):
     for a, b in pairs:
         reachable.update(pair_achievable_lengths(space, a, b, l))
     if l not in reachable:
-        if args.format == "json":
-            _emit_json({"l": format_rational(l), "rows": [], "total": []})
-        else:
-            print(
-                "# no rows: length %s is not achievable for the selected pairs"
-                " (try: magtop lengths)" % format_rational(l)
-            )
-        return PASS_CODE
+        doc = {"l": format_rational(l), "rows": [], "total": []}
+        line = (
+            "# no rows: length %s is not achievable for the selected pairs"
+            " (try: magtop lengths)" % format_rational(l)
+        )
+        return PASS_CODE, doc, [line]
     tasks = [(space, a, b, l) for a, b in pairs]
     results = _run_tasks(_pair_homology, tasks, args.jobs)
     results.sort(key=lambda r: (r[0], r[1]))
-    rows = []
+    rows = [
+        (space.labels[a], space.labels[b], k, s.betti_at(k), s.torsion_at(k))
+        for a, b, s in results
+        for k in sorted(set(s.betti_map()) | set(s.torsion_map()))
+    ]
     total = HomologySummary()
-    for a, b, summary in results:
+    for _, _, summary in results:
         total = total.plus(summary)
-        degrees = sorted(set(summary.betti_map()) | set(summary.torsion_map()))
-        for k in degrees:
-            rows.append(
-                (
-                    space.labels[a],
-                    space.labels[b],
-                    k,
-                    summary.betti_at(k),
-                    summary.torsion_at(k),
-                )
-            )
     total_rows = [
         (k, total.betti_at(k), total.torsion_at(k))
         for k in sorted(set(total.betti_map()) | set(total.torsion_map()))
     ]
-    if args.format == "json":
-        _emit_json(
+    doc = {
+        "l": format_rational(l),
+        "rows": [
             {
-                "l": format_rational(l),
-                "rows": [
-                    {
-                        "from": a,
-                        "to": b,
-                        "k": k,
-                        "betti": r,
-                        "torsion": [str(f) for f in f_list],
-                    }
-                    for a, b, k, r, f_list in rows
-                ],
-                "total": [
-                    {"k": k, "betti": r, "torsion": [str(f) for f in f_list]}
-                    for k, r, f_list in total_rows
-                ],
+                "from": a,
+                "to": b,
+                "k": k,
+                "betti": r,
+                "torsion": [str(f) for f in f_list],
             }
-        )
-        return PASS_CODE
-    print("# homology at length %s" % format_rational(l))
+            for a, b, k, r, f_list in rows
+        ],
+        "total": [
+            {"k": k, "betti": r, "torsion": [str(f) for f in f_list]}
+            for k, r, f_list in total_rows
+        ],
+    }
+    lines = ["# homology at length %s" % format_rational(l)]
     if not rows:
-        print("# all groups vanish for the selected pairs")
-        return PASS_CODE
-    print("# from to k betti torsion")
+        lines.append("# all groups vanish for the selected pairs")
+        return PASS_CODE, doc, lines
+    lines.append("# from to k betti torsion")
     for a, b, k, r, f_list in rows:
-        print("%s %s %d %d %s" % (a, b, k, r, _torsion_text(f_list)))
+        lines.append("%s %s %d %d %s" % (a, b, k, r, _torsion_text(f_list)))
     for k, r, f_list in total_rows:
-        print("* * %d %d %s" % (k, r, _torsion_text(f_list)))
-    return PASS_CODE
+        lines.append("* * %d %d %s" % (k, r, _torsion_text(f_list)))
+    return PASS_CODE, doc, lines
 
 
 def cmd_lengths(args):
     space = _load_space(args.input, args.seed)
     lmax = _length_arg(args.lmax)
-    values = achievable_lengths(space, lmax)
-    if args.format == "json":
-        _emit_json({"lengths": [format_rational(v) for v in values]})
-        return PASS_CODE
-    for v in values:
-        print(format_rational(v))
-    return PASS_CODE
+    values = [format_rational(v) for v in achievable_lengths(space, lmax)]
+    return PASS_CODE, {"lengths": values}, values
 
 
 def cmd_critical_cells(args):
@@ -298,27 +267,22 @@ def cmd_critical_cells(args):
     cells = sorted(seq_time_stamps(space, s) for s in critical_cells(gspec, l))
     by_dim = {}
     for stamped in cells:
-        by_dim.setdefault(len(stamped) - 1, []).append(stamped)
-    if args.format == "json":
-        _emit_json(
-            {
-                "l": format_rational(l),
-                "total": len(cells),
-                "cells": {
-                    str(k): [_stamped_text(space, s) for s in v]
-                    for k, v in sorted(by_dim.items())
-                },
-            }
+        by_dim.setdefault(len(stamped) - 1, []).append(
+            _stamped_text(space, stamped)
         )
-        return PASS_CODE
-    print(
+    by_dim = dict(sorted(by_dim.items()))
+    doc = {
+        "l": format_rational(l),
+        "total": len(cells),
+        "cells": {str(k): texts for k, texts in by_dim.items()},
+    }
+    lines = [
         "# critical cells at length %s: %d" % (format_rational(l), len(cells))
-    )
-    for k in sorted(by_dim):
-        print("dim %d: %d" % (k, len(by_dim[k])))
-        for stamped in by_dim[k]:
-            print("  %s" % _stamped_text(space, stamped))
-    return PASS_CODE
+    ]
+    for k, texts in by_dim.items():
+        lines.append("dim %d: %d" % (k, len(texts)))
+        lines += ["  " + text for text in texts]
+    return PASS_CODE, doc, lines
 
 
 def cmd_frames(args):
@@ -330,49 +294,33 @@ def cmd_frames(args):
         a = space.index(args.from_label)
         b = space.index(args.to_label)
         found = sorted(f.points for f in singular_sequences(space, a, b, l))
+        frames = [[space.labels[p] for p in pts] for pts in found]
         prediction = framed_betti_prediction(space, a, b, l)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "l": format_rational(l),
-                    "frames": [
-                        list(space.labels[p] for p in pts) for pts in found
-                    ],
-                    "prediction": {str(k): r for k, r in prediction.items()},
-                }
-            )
-            return PASS_CODE
-        print(
+        doc = {
+            "l": format_rational(l),
+            "frames": frames,
+            "prediction": {str(k): r for k, r in prediction.items()},
+        }
+        lines = [
             "# %d frames from %s to %s at length %s"
             % (len(found), args.from_label, args.to_label, format_rational(l))
-        )
-        for pts in found:
-            print(" ".join(space.labels[p] for p in pts))
-        print("# predicted betti")
-        if not prediction:
-            print("none")
-        for k, r in prediction.items():
-            print("k=%d: %d" % (k, r))
-        return PASS_CODE
+        ]
+        lines += [" ".join(labels) for labels in frames]
+        lines.append("# predicted betti")
+        lines += ["k=%d: %d" % kr for kr in prediction.items()] or ["none"]
+        return PASS_CODE, doc, lines
     found = sorted(f.points for f in thin_frames(space, l))
-    by_degree = {}
-    for pts in found:
-        by_degree[len(pts) - 1] = by_degree.get(len(pts) - 1, 0) + 1
-    if args.format == "json":
-        _emit_json(
-            {
-                "l": format_rational(l),
-                "thin": [list(space.labels[p] for p in pts) for pts in found],
-                "degrees": {str(k): c for k, c in sorted(by_degree.items())},
-            }
-        )
-        return PASS_CODE
-    print("# %d thin frames at length %s" % (len(found), format_rational(l)))
-    for k in sorted(by_degree):
-        print("degree %d: %d" % (k, by_degree[k]))
-    for pts in found:
-        print(" ".join(space.labels[p] for p in pts))
-    return PASS_CODE
+    thin = [[space.labels[p] for p in pts] for pts in found]
+    by_degree = sorted(Counter(len(pts) - 1 for pts in found).items())
+    doc = {
+        "l": format_rational(l),
+        "thin": thin,
+        "degrees": {str(k): c for k, c in by_degree},
+    }
+    lines = ["# %d thin frames at length %s" % (len(found), format_rational(l))]
+    lines += ["degree %d: %d" % kc for kc in by_degree]
+    lines += [" ".join(labels) for labels in thin]
+    return PASS_CODE, doc, lines
 
 
 def _encode_weight(value):
@@ -387,19 +335,18 @@ def cmd_hasse(args):
         hg = hasse_graph(facets)
     except (MetricError, EmptyComplex) as exc:
         raise DocumentError("bad facet list: %s" % (exc,)) from exc
-    _emit_json(
-        {
-            "type": "graph",
-            "vertices": list(hg.space.labels),
-            "edges": [[u, v, _encode_weight(w)] for u, v, w in hg.edges],
-            "suggested": {
-                "from": hg.zero,
-                "to": hg.one,
-                "l": _encode_weight(hg.l),
-            },
-        }
-    )
-    return PASS_CODE
+    doc = {
+        "type": "graph",
+        "vertices": list(hg.space.labels),
+        "edges": [[u, v, _encode_weight(w)] for u, v, w in hg.edges],
+        "suggested": {
+            "from": hg.zero,
+            "to": hg.one,
+            "l": _encode_weight(hg.l),
+        },
+    }
+    # the table form is the graph document too, ready to read back in
+    return PASS_CODE, doc, [json.dumps(doc, indent=2, sort_keys=True)]
 
 
 def _verify_pairwise(args, space, lmax):
@@ -476,21 +423,16 @@ def cmd_verify(args):
         verifier = verify_union if args.check == "union" else verify_mv
         report = verifier(gspec, lmax)
         if isinstance(report, NotGated):
-            if args.format == "json":
-                _emit_json(
-                    {
-                        "check": args.check,
-                        "refused": True,
-                        "witness": report.witness,
-                        "detail": report.detail,
-                    }
-                )
-            else:
-                print(
-                    "refused: gluing is not gated (%s)"
-                    % (report.detail or report.witness)
-                )
-            return REFUSED_CODE
+            doc = {
+                "check": args.check,
+                "refused": True,
+                "witness": report.witness,
+                "detail": report.detail,
+            }
+            line = "refused: gluing is not gated (%s)" % (
+                report.detail or report.witness
+            )
+            return REFUSED_CODE, doc, [line]
         header = "# %s additivity" % args.check
         return _rows_verdict(args, report, header, "k", "left", "right")
     twist = twist_from_doc(_load_document(args.inputs[0]))
@@ -591,7 +533,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, lines = args.func(args)
     except DocumentError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return PARSE_CODE
@@ -605,9 +547,16 @@ def main(argv=None):
     except MetricError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return METRIC_CODE
-    except InternalFault as exc:
+    except AssertionError as exc:
+        # every failed check on the program's own work, InternalFault or a
+        # plain assert, is a defect and never a verdict
         print("internal fault: %s" % (exc,), file=sys.stderr)
         return FAULT_CODE
+    if args.format == "json":
+        lines = [json.dumps(doc, indent=2, sort_keys=True)]
+    for line in lines:
+        print(line)
+    return code
 
 
 def entry():

@@ -24,8 +24,8 @@ from .metric import (
     MetricError,
     four_cuts,
     from_weighted_graph,
-    interval,
     is_smooth,
+    open_interval,
     seq_length,
 )
 
@@ -102,7 +102,7 @@ def singular_sequences(space, a, b, l):
 
 def _interval_factor(space, x, y):
     """Reduced Betti of the open-interval order complex, raised two degrees."""
-    poset = interval(space, x, y, "open")
+    poset = open_interval(space, x, y)
     chains = order_chains(poset.carrier, lambda u, v: u != v and poset.le(u, v))
     pair = SimplicialPair(SimplicialComplex.of(chains), SimplicialComplex.void())
     summary = homology(relative_chain_complex(pair, augmented=True))
@@ -136,7 +136,7 @@ def thin_frames(space, l):
         raise InvalidLength("negative length %s" % (l,))
     n = space.n
     thin = [
-        [y for y in range(n) if y != x and not interval(space, x, y, "open").carrier]
+        [y for y in range(n) if y != x and not open_interval(space, x, y).carrier]
         for x in range(n)
     ]
     successors = _frame_steps(space, thin)

@@ -218,13 +218,12 @@ def from_weighted_graph(vertices, edges):
     return MetricSpace(labels, tuple(tuple(Fraction(v, scale) for v in row) for row in d))
 
 
-def restriction(space, indices, labels=None):
+def restriction(space, indices):
     """Metric subspace on the given point indices."""
     indices = tuple(indices)
-    if labels is None:
-        labels = tuple(space.labels[i] for i in indices)
+    labels = tuple(space.labels[i] for i in indices)
     dist = tuple(tuple(space.dist[i][j] for j in indices) for i in indices)
-    return MetricSpace(tuple(labels), dist)
+    return MetricSpace(labels, dist)
 
 
 def product(x, y):
@@ -304,16 +303,12 @@ def four_cuts(space):
 
 @dataclass(frozen=True)
 class IntervalPoset:
-    """Metric interval between a and b, ordered by betweenness.
-
-    kind is one of "closed", "open", "half-open-left", "half-open-right";
-    half-open-left drops a, half-open-right drops b.
-    """
+    """Open metric interval between a and b, ordered by betweenness: the
+    points strictly between a and b on a geodesic."""
 
     space: MetricSpace
     a: int
     b: int
-    kind: str
     carrier: tuple
 
     def le(self, x, y):
@@ -333,19 +328,14 @@ class IntervalPoset:
         return True
 
 
-INTERVAL_KINDS = ("closed", "open", "half-open-left", "half-open-right")
-
-
-def interval(space, a, b, kind="closed"):
-    if kind not in INTERVAL_KINDS:
-        raise ValueError("unknown interval kind %r" % (kind,))
+def open_interval(space, a, b):
     d = space.dist
-    members = [x for x in range(space.n) if d[a][x] + d[x][b] == d[a][b]]
-    if kind in ("open", "half-open-left"):
-        members = [x for x in members if x != a]
-    if kind in ("open", "half-open-right"):
-        members = [x for x in members if x != b]
-    return IntervalPoset(space, a, b, kind, tuple(members))
+    members = [
+        x
+        for x in range(space.n)
+        if x != a and x != b and d[a][x] + d[x][b] == d[a][b]
+    ]
+    return IntervalPoset(space, a, b, tuple(members))
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,52 @@ def test_critical_cells_pinned_output(capsys, l, extra, lines, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+SUBCOMMAND_CASES = {
+    "magnitude": ["magnitude", "fixture:two_point", "--lmax", "3"],
+    "homology-rows": ["homology", "fixture:c4", "--l", "2"],
+    "homology-pair": ["homology", "fixture:c4", "--l", "2", "--from", "a", "--to", "b"],
+    "homology-vanish": ["homology", "fixture:p3", "--l", "2", "--from", "a", "--to", "c"],
+    "homology-unreachable": ["homology", "fixture:k3", "--l", "7/2"],
+    "lengths": ["lengths", "fixture:k3", "--lmax", "3"],
+    "frames-pair": ["frames", "fixture:k4", "--l", "3", "--from", "a", "--to", "b"],
+    "frames-none": ["frames", "fixture:p2", "--l", "2", "--from", "a", "--to", "b"],
+    "frames-thin": ["frames", "fixture:c4", "--l", "2"],
+    "hasse": ["hasse", "fixture:triangle_boundary"],
+}
+
+SUBCOMMAND_PINS = {
+    ("frames-none", "json"): (0, "7256360e0c4f9b86fdec50c6730abc5547d08edf5f8f0b56d153821a17623645"),
+    ("frames-none", "table"): (0, "bb5c25a1226e763b2097bbf9c56f1e9ad5bedd56361df638b9ca23451f7d976e"),
+    ("frames-pair", "json"): (0, "f8f1f146bdfff9dd503e8b672cdf22d359c5ecee9740c45f8645ce2a96dd7e75"),
+    ("frames-pair", "table"): (0, "f90bd65833e459550d7a97a6fcf5c10e5492b3401b348ccc3ae310b0b970a5d4"),
+    ("frames-thin", "json"): (0, "c96df81c229c9871f5b5cf009e77a3d8c6a4208ad13207d04f690bb8faed1290"),
+    ("frames-thin", "table"): (0, "5c1f04cd6f70c13802431749b84382ff36c257a5798ab16fea091b0f84c85564"),
+    ("hasse", "json"): (0, "172368b6f3c927a3f35399a517f341fcf5b13ad16671eba7ec787348eedfd923"),
+    ("hasse", "table"): (0, "172368b6f3c927a3f35399a517f341fcf5b13ad16671eba7ec787348eedfd923"),
+    ("homology-pair", "json"): (0, "5f8eb9233774041ba8d709190a09f1303597fd7b6b5ce5c3a0dee751a963a72e"),
+    ("homology-pair", "table"): (0, "3efd8ebba1165d75905cffa1b6d0f13d4e9d1fe1c66985761ce51a91419db92b"),
+    ("homology-rows", "json"): (0, "1dfc0c44c361522ea99645bad9f398fbe2ea9f4e5955ba2b1593aff39f2387c1"),
+    ("homology-rows", "table"): (0, "ffd6dc3bfc32f63e3878e55f6af5c620da0aee142f5fd6b5a52f8fbc4cd84d0e"),
+    ("homology-unreachable", "json"): (0, "f3dba425cbe8c5453bd3a626092b58b86ae3529b1ca7d692af53f55d5d216503"),
+    ("homology-unreachable", "table"): (0, "062ad57fa26a0d31807826bdd700e9519102fa4f420c7fbc05b2122929f9f725"),
+    ("homology-vanish", "json"): (0, "f9f62a0cac880ba963c066c595d3e0e8012a6ae552698da2c6b123ad6c2bc792"),
+    ("homology-vanish", "table"): (0, "b2ea4ff41428d5a17477cb3ac91ee0dd954a0ca5589df96ef2cd246b1136bf8e"),
+    ("lengths", "json"): (0, "e77fab783d83484e3c17165f645e9b0fa4f5adf8ec8b322ca8f800780ea2c8a7"),
+    ("lengths", "table"): (0, "e169bdf59fac30d230f7d21be511d04dc8cc61e5edb1d8255758bc220ba3d4c7"),
+    ("magnitude", "json"): (0, "54fe3db82743de455b0aaa074782ce25baa1bb7b5b2ae73f04824cde282238d9"),
+    ("magnitude", "table"): (0, "72b6fcc1925a0cb5a1cf59b811c64439837a4ee55bb0f3226f06711ce3e8e853"),
+}
+
+
+@pytest.mark.parametrize("case, fmt", sorted(SUBCOMMAND_PINS))
+def test_subcommand_output_pinned(capsys, case, fmt):
+    # hasse prints its graph document in either format
+    code, out, _ = run(capsys, SUBCOMMAND_CASES[case] + ["--format", fmt])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SUBCOMMAND_PINS[
+        case, fmt
+    ]
+
+
 def test_frames_endpoint_mode(capsys):
     code, out, _ = run(
         capsys, ["frames", "fixture:k3", "--l", "2", "--from", "a", "--to", "b"]
@@ -384,8 +430,10 @@ def test_exit_mismatch_on_failing_check(capsys, monkeypatch):
 
 # each stub makes a real internal check fail: with every sequence sticky
 # the critical cells differ from the sticky-free ones, with every point
-# smooth a full-length face escapes the interior of the attached side, and
-# with no chain short the relative chains outnumber the stamped sequences
+# smooth a full-length face escapes the interior of the attached side,
+# with no chain short the relative chains outnumber the stamped sequences,
+# and with every chain short a plain assert fails (under -O the
+# relative-part check still catches it)
 FAULTS = [
     (
         ["critical-cells", "fixture:mv_triangles", "--l", "1"],
@@ -405,8 +453,16 @@ FAULTS = [
         "seq_length",
         "lambda *args: 10**9",
     ),
+    (
+        ["verify", "chain-iso", "fixture:two_point", "--lmax", "1"],
+        "magtop.causal",
+        "seq_length",
+        "lambda *args: -1",
+    ),
 ]
-FAULT_IDS = ["critical-cells", "verify-union", "verify-chain-iso"]
+FAULT_IDS = [
+    "critical-cells", "verify-union", "verify-chain-iso", "verify-chain-iso-assert"
+]
 
 
 @pytest.mark.parametrize("argv, module, name, stub", FAULTS, ids=FAULT_IDS)

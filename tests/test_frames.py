@@ -23,7 +23,7 @@ from magtop.metric import (
     MetricError,
     MetricSpace,
     four_cuts,
-    interval,
+    open_interval,
     random_metric_space,
     seq_length,
 )
@@ -123,7 +123,7 @@ def test_frames_match_brute_force_on_random_spaces():
                 frames = [s for s in seqs if frame_of(x, s).points == s]
                 thin = [
                     s for s in frames
-                    if all(not interval(x, p, q, "open").carrier
+                    if all(not open_interval(x, p, q).carrier
                            for p, q in zip(s, s[1:]))
                 ]
                 got = sorted(f.points for f in thin_frames(x, l))

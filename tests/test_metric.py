@@ -12,8 +12,8 @@ from magtop import (
     from_distance_matrix,
     from_weighted_graph,
     glue,
-    interval,
     is_smooth,
+    open_interval,
     product,
     random_metric_space,
     restriction,
@@ -188,20 +188,16 @@ def test_interval_poset_laws():
     path = from_weighted_graph(
         ("a", "b", "c", "d"), [("a", "b", 1), ("b", "c", 1), ("c", "d", 1)]
     )
-    closed = interval(path, 0, 3, "closed")
-    assert closed.carrier == (0, 1, 2, 3)
-    assert closed.validate()
-    assert interval(path, 0, 3, "open").carrier == (1, 2)
-    assert interval(path, 0, 3, "half-open-left").carrier == (1, 2, 3)
-    assert interval(path, 0, 3, "half-open-right").carrier == (0, 1, 2)
-    with pytest.raises(ValueError):
-        interval(path, 0, 3, "clopen")
+    inner = open_interval(path, 0, 3)
+    assert inner.carrier == (1, 2)
+    assert inner.validate()
     # off-geodesic points stay out
     c4 = from_weighted_graph(
         ("a", "b", "c", "d"),
         [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1)],
     )
-    assert interval(c4, 0, 1, "closed").carrier == (0, 1)
+    assert open_interval(c4, 0, 1).carrier == ()
+    assert open_interval(c4, 0, 2).carrier == (1, 3)
 
 
 def test_glue_classifies_interior_points():

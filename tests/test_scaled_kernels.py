@@ -28,7 +28,7 @@ from magtop import (
 )
 from magtop.causal import CausalPoint
 from magtop.frames import FourCutObstruction, singular_sequences, thin_frames
-from magtop.metric import TriangleViolation, interval
+from magtop.metric import TriangleViolation, open_interval
 
 F = Fraction
 
@@ -224,7 +224,7 @@ def test_four_cuts_and_frames_match_fraction_kernel(den_max, seed):
     n = space.n
     every = [[y for y in range(n) if y != x] for x in range(n)]
     thin = [
-        [y for y in range(n) if y != x and not interval(space, x, y, "open").carrier]
+        [y for y in range(n) if y != x and not open_interval(space, x, y).carrier]
         for x in range(n)
     ]
     thin_rule = frame_steps_fraction(space, thin)
