@@ -8,10 +8,13 @@ the short chains models the magnitude homotopy type, and all homology in
 this package is computed from such pairs or from the sequence chain complex
 directly.
 
-Lengths in and out of this module are Fractions.  The kernels (walks,
-_reachable_lengths, seq_time_stamps) run on the space's integer distances,
-scaled once per space by their least common denominator: a length l with
-l * scale not an integer has no sequences at all.
+Lengths in and out of this module are Fractions.  The kernels run on the
+space's integer distances, scaled once per space by their least common
+denominator: a length l with l * scale not an integer has no sequences at
+all.  Chains carry scaled integer times: a vertex of a causal poset or an
+order complex is a pair (t, point) with t the time times the scale, so the
+posets and complexes compare and hash ints.  seq_time_stamps is the one
+Fraction view of those times.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .metric import InternalFault, seq_length
+from .metric import InternalFault, scaled_length
 
 
 class InvalidLength(ValueError):
@@ -28,7 +31,8 @@ class InvalidLength(ValueError):
 
 
 class CausalPoint(NamedTuple):
-    # natural tuple order = (time, point index), the canonical vertex order
+    # the Fraction view of a chain vertex (t, point): time = t / scale, so the
+    # tuple order (time, point index) is the order of the (t, point) pairs
     time: Fraction
     point: int
 
@@ -125,15 +129,22 @@ def pair_achievable_lengths(space, a, b, budget):
     return _unscaled(space, _reachable_lengths(space, a, budget).get(b, ()))
 
 
+def _stamps(space, seq):
+    """The chain a sequence carries: (t, point) pairs, t the prefix sum of
+    its scaled distances."""
+    d = space._scaled[1]
+    t = 0
+    chain = [(0, seq[0])]
+    for x, y in zip(seq, seq[1:]):
+        t += d[x][y]
+        chain.append((t, y))
+    return tuple(chain)
+
+
 def seq_time_stamps(space, seq):
     """The chain of causal points carried by a sequence (prefix-sum times)."""
-    scale, d = space._scaled
-    t = 0
-    chain = [CausalPoint(Fraction(0), seq[0])]
-    for i in range(1, len(seq)):
-        t += d[seq[i - 1]][seq[i]]
-        chain.append(CausalPoint(Fraction(t, scale), seq[i]))
-    return tuple(chain)
+    scale = space._scaled[0]
+    return tuple(CausalPoint(Fraction(t, scale), p) for t, p in _stamps(space, seq))
 
 
 def order_chains(members, lt):
@@ -156,7 +167,10 @@ def order_chains(members, lt):
 
 
 class CausalPoset:
-    """Finite subposet of X x R under (x,t) <= (y,s) iff d(x,y) <= s - t."""
+    """Finite subposet of X x R under (x,t) <= (y,s) iff d(x,y) <= s - t.
+
+    Its points are (t, point) pairs with t the time times the space's scale.
+    """
 
     __slots__ = ("space", "a", "b", "l", "points")
 
@@ -168,13 +182,13 @@ class CausalPoset:
         self.points = tuple(sorted(points))
 
     def leq(self, u, v):
-        return self.space.dist[u.point][v.point] <= v.time - u.time
+        return self.space._scaled[1][u[1]][v[1]] <= v[0] - u[0]
 
     def lt(self, u, v):
         return u != v and self.leq(u, v)
 
     def chains(self):
-        """All nonempty chains, each sorted by (time, point)."""
+        """All nonempty chains, each sorted by (t, point)."""
         return order_chains(self.points, self.lt)
 
     def validate(self):
@@ -190,8 +204,10 @@ class CausalPoset:
         return True
 
     def __repr__(self):
+        scale = self.space._scaled[0]
         body = ", ".join(
-            "(%s,%s)" % (self.space.labels[p.point], p.time) for p in self.points
+            "(%s,%s)" % (self.space.labels[p], Fraction(t, scale))
+            for t, p in self.points
         )
         return "CausalPoset[%s]" % body
 
@@ -200,7 +216,7 @@ def essential_poset(space, a, b, l):
     """Causal points lying on some light-like sequence from a to b."""
     pts = set()
     for seq in lightlike_sequences(space, a, b, l):
-        pts.update(seq_time_stamps(space, seq))
+        pts.update(_stamps(space, seq))
     return CausalPoset(space, a, b, l, pts)
 
 
@@ -333,13 +349,14 @@ def order_complex_pair(space, a, b, l):
     """
     l = Fraction(l)
     # the essential poset, from the stamps the relative-part check reuses
-    stamped = {seq_time_stamps(space, s) for s in lightlike_sequences(space, a, b, l)}
+    stamped = {_stamps(space, s) for s in lightlike_sequences(space, a, b, l)}
     poset = CausalPoset(space, a, b, l, set().union(*stamped))
     if not poset.points:
         return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
+    top = int(l * space._scaled[0])  # exact, as sequences of length l exist
     pair = _chain_pair(
         poset.chains(),
-        lambda c: seq_length(space, [p for _, p in c]) < l,
+        lambda c: scaled_length(space, [p for _, p in c]) < top,
         l == 0,
     )
     # the relative part must be exactly the stamped light-like sequences
@@ -363,11 +380,12 @@ def inner_pair(space, a, b, l):
     if d_ab > l:
         return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
     poset = essential_poset(space, a, b, l)
-    ends = {CausalPoint(Fraction(0), a), CausalPoint(l, b)}
+    top = int(l * space._scaled[0])  # exact whenever the poset has points
+    ends = {(0, a), (top, b)}
     mid = [p for p in poset.points if p not in ends]
     mid_poset = CausalPoset(space, a, b, l, mid)
     return _chain_pair(
         mid_poset.chains(),
-        lambda c: seq_length(space, [a] + [p for _, p in c] + [b]) < l,
+        lambda c: scaled_length(space, [a] + [p for _, p in c] + [b]) < top,
         d_ab >= l,
     )

@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .causal import (
     InvalidLength,
+    _stamps,
     achievable_lengths,
     pair_achievable_lengths,
     seq_time_stamps,
@@ -264,7 +265,8 @@ def cmd_critical_cells(args):
     gspec = gluing_from_doc(_load_document(args.input))
     l = _length_arg(args.l)
     space = gspec.space
-    cells = sorted(seq_time_stamps(space, s) for s in critical_cells(gspec, l))
+    found = sorted(critical_cells(gspec, l), key=lambda s: _stamps(space, s))
+    cells = [seq_time_stamps(space, s) for s in found]
     by_dim = {}
     for stamped in cells:
         by_dim.setdefault(len(stamped) - 1, []).append(

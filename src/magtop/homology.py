@@ -14,11 +14,11 @@ from fractions import Fraction
 from math import gcd
 
 from .causal import (
+    _stamps,
     inner_pair,
     lightlike_sequences,
     order_complex_pair,
     pair_achievable_lengths,
-    seq_time_stamps,
 )
 from .metric import InternalFault
 
@@ -314,7 +314,7 @@ def verify_chain_iso(space, a, b, l):
         return VerifyReport(False, "degree ranges differ: %s vs %s" % (mag_degrees, rel_degrees))
     perm = {}
     for k in mag_degrees:
-        image = [seq_time_stamps(space, s) for s in mag.basis[k]]
+        image = [_stamps(space, s) for s in mag.basis[k]]
         if len(set(image)) != len(image):
             return VerifyReport(False, "degree %d stamping is not injective" % k)
         if sorted(image) != sorted(rel.basis[k]):

@@ -248,12 +248,15 @@ def _product_index(nx, ny):
     return lambda i, j: i * ny + j
 
 
+def scaled_length(space, seq):
+    """Length of a point-index sequence times the space's scale, an int."""
+    d = space._scaled[1]
+    return sum(d[x][y] for x, y in zip(seq, seq[1:]))
+
+
 def seq_length(space, seq):
     """Total length d(x_0, ..., x_k) of a point-index sequence."""
-    return sum(
-        (space.dist[seq[i - 1]][seq[i]] for i in range(1, len(seq))),
-        Fraction(0),
-    )
+    return Fraction(scaled_length(space, seq), space._scaled[0])
 
 
 def is_smooth(space, seq, k):

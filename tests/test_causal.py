@@ -23,6 +23,7 @@ from magtop import (
     seq_length,
     seq_time_stamps,
 )
+from magtop.causal import _stamps
 
 F = Fraction
 
@@ -159,18 +160,55 @@ def test_causal_poset_validates_and_orders():
     sp = path_space()
     poset = essential_poset(sp, 0, 2, F(2))
     assert poset.validate()
-    pts = set(poset.points)
-    assert pts == {
-        CausalPoint(F(0), 0),
-        CausalPoint(F(1), 1),
-        CausalPoint(F(2), 2),
-    }
-    lo = CausalPoint(F(0), 0)
-    hi = CausalPoint(F(2), 2)
+    # vertices are (scaled time, point) pairs; the scale is 1 here
+    assert poset.points == ((0, 0), (1, 1), (2, 2))
+    lo = (0, 0)
+    hi = (2, 2)
     assert poset.leq(lo, hi)
     assert not poset.leq(hi, lo)
     # time gap too small for the distance
-    assert not poset.leq(CausalPoint(F(0), 0), CausalPoint(F(1), 2))
+    assert not poset.leq((0, 0), (1, 2))
+
+
+def sixths_space():
+    # d(a,b) = 1/2, d(b,c) = 1/3, d(a,c) = 5/6: scale 6, scaled 3, 2, 5
+    return from_distance_matrix(
+        ("a", "b", "c"),
+        [[0, F(1, 2), F(5, 6)], [F(1, 2), 0, F(1, 3)], [F(5, 6), F(1, 3), 0]],
+    )
+
+
+def test_essential_poset_vertices_at_scale_six():
+    sp = sixths_space()
+    assert sp._scaled[0] == 6
+    poset = essential_poset(sp, 0, 2, F(5, 6))
+    assert poset.validate()
+    # times are scaled ints: b sits at 1/2 = 3/6, c at 5/6
+    assert poset.points == ((0, 0), (3, 1), (5, 2))
+    assert all(type(t) is int for t, _ in poset.points)
+    assert CausalPoint(F(1, 2), 1) not in poset.points
+    assert repr(poset) == "CausalPoset[(a,0), (b,1/2), (c,5/6)]"
+    assert poset.leq((0, 0), (3, 1))
+    # a time gap of 2/6 is too small for d(a,b) = 3/6
+    assert not poset.leq((0, 0), (2, 1))
+
+
+def test_inner_pair_vertices_at_scale_six():
+    sp = sixths_space()
+    # d(a,c) = l = 5/6: the one interior point (b, 1/2), nothing short
+    pair = inner_pair(sp, 0, 2, F(5, 6))
+    assert (pair.total.state, pair.sub.state) == ("nonempty", "void")
+    assert pair.total.simplices() == [((3, 1),)]
+    # l = 3/2 = 9/6: a-b-c-b-c and a-c-b-c, without the ends (0, a), (9, c)
+    pair = inner_pair(sp, 0, 2, F(3, 2))
+    mid = [(3, 1), (5, 2), (7, 1)]
+    assert pair.total.simplices() == [
+        (mid[0],), (mid[1],), (mid[2],),
+        (mid[0], mid[1]), (mid[0], mid[2]), (mid[1], mid[2]),
+        tuple(mid),
+    ]
+    # only the two full-length chains escape the short side
+    assert pair.relative_simplices() == [(mid[1], mid[2]), tuple(mid)]
 
 
 def test_poset_chains_are_ordered_subsets():
@@ -242,9 +280,7 @@ def test_order_complex_relative_part_is_lightlike():
     l = F(2)
     pair = order_complex_pair(sp, 0, 1, l)
     rel = set(pair.relative_simplices())
-    stamped = {
-        seq_time_stamps(sp, s) for s in lightlike_sequences(sp, 0, 1, l)
-    }
+    stamped = {_stamps(sp, s) for s in lightlike_sequences(sp, 0, 1, l)}
     assert rel == stamped
 
 
@@ -275,10 +311,10 @@ def test_inner_pair_short_side():
     pair = inner_pair(k3, 0, 1, F(3))
     assert pair.sub.state == "nonempty"
     short = set(pair.sub.simplices())
-    assert (CausalPoint(F(1), 2),) in short
+    assert ((1, 2),) in short
 
 
 def test_constant_poset_chain_has_no_repeats():
     sp = unit_complete(2)
-    poset = CausalPoset(sp, 0, 0, F(0), [CausalPoint(F(0), 0)])
-    assert poset.chains() == [(CausalPoint(F(0), 0),)]
+    poset = CausalPoset(sp, 0, 0, F(0), [(0, 0)])
+    assert poset.chains() == [((0, 0),)]

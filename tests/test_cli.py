@@ -450,13 +450,13 @@ FAULTS = [
     (
         ["verify", "chain-iso", "fixture:two_point", "--lmax", "1"],
         "magtop.causal",
-        "seq_length",
+        "scaled_length",
         "lambda *args: 10**9",
     ),
     (
         ["verify", "chain-iso", "fixture:two_point", "--lmax", "1"],
         "magtop.causal",
-        "seq_length",
+        "scaled_length",
         "lambda *args: -1",
     ),
 ]

@@ -3,10 +3,13 @@
 Each space scales its distances once by their least common denominator and
 the kernels compare integers.  The Fraction versions below are the kernels
 as they were before that change; they stay here as oracles and are
-compared exactly, order included, on seeded random spaces.
+compared exactly, order included, on seeded random spaces.  The relative
+order complexes among them take Fraction-timed CausalPoints as vertices,
+where the program takes (scaled integer time, point) pairs.
 """
 
 import dataclasses
+import importlib
 import math
 import pickle
 import random
@@ -17,18 +20,25 @@ import pytest
 from magtop import (
     INFINITE,
     MetricSpace,
+    SimplicialComplex,
+    SimplicialPair,
     achievable_lengths,
     four_cuts,
     from_distance_matrix,
     from_weighted_graph,
+    inner_pair,
     lightlike_sequences,
+    order_complex_pair,
     pair_achievable_lengths,
     random_metric_space,
+    seq_length,
     seq_time_stamps,
+    verify_chain_iso,
+    verify_suspension_shift,
 )
-from magtop.causal import CausalPoint
+from magtop.causal import CausalPoint, InvalidLength, _chain_pair, order_chains
 from magtop.frames import FourCutObstruction, singular_sequences, thin_frames
-from magtop.metric import TriangleViolation, open_interval
+from magtop.metric import InternalFault, TriangleViolation, open_interval
 
 F = Fraction
 
@@ -121,6 +131,52 @@ def seq_time_stamps_fraction(space, seq):
     return tuple(chain)
 
 
+def seq_length_fraction(space, seq):
+    return sum((space.dist[x][y] for x, y in zip(seq, seq[1:])), F(0))
+
+
+def causal_lt_fraction(space):
+    d = space.dist
+    return lambda u, v: u != v and d[u.point][v.point] <= v.time - u.time
+
+
+def order_complex_pair_fraction(space, a, b, l):
+    l = F(l)
+    stamped = {
+        seq_time_stamps_fraction(space, s) for s in walks_fraction(space, a, l, b)
+    }
+    points = sorted(set().union(*stamped))
+    if not points:
+        return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
+    pair = _chain_pair(
+        order_chains(points, causal_lt_fraction(space)),
+        lambda c: seq_length_fraction(space, [p for _, p in c]) < l,
+        l == 0,
+    )
+    if pair.total._sims - pair.sub._sims != stamped:
+        raise InternalFault("relative chains are not the light-like sequences")
+    return pair
+
+
+def inner_pair_fraction(space, a, b, l):
+    l = F(l)
+    if l <= 0:
+        raise InvalidLength("positive length required, got %s" % (l,))
+    d_ab = space.dist[a][b]
+    if d_ab > l:
+        return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
+    points = set()
+    for seq in walks_fraction(space, a, l, b):
+        points.update(seq_time_stamps_fraction(space, seq))
+    ends = {CausalPoint(F(0), a), CausalPoint(l, b)}
+    mid = sorted(p for p in points if p not in ends)
+    return _chain_pair(
+        order_chains(mid, causal_lt_fraction(space)),
+        lambda c: seq_length_fraction(space, [a] + [p for _, p in c] + [b]) < l,
+        d_ab >= l,
+    )
+
+
 def four_cuts_fraction(space):
     d = space.dist
     n = space.n
@@ -199,6 +255,62 @@ def test_sequences_and_stamps_match_fraction_kernel(den_max, seed):
                     stamps = seq_time_stamps(space, seq)
                     assert stamps == seq_time_stamps_fraction(space, seq)
                     assert all(type(p.time) is F for p in stamps)
+
+
+def pair_view(pair, vertex=lambda v: v):
+    """A pair's states and simplex sets, each vertex mapped by vertex."""
+    return tuple(
+        (cx.state, {tuple(map(vertex, s)) for s in cx.simplices()})
+        for cx in (pair.total, pair.sub)
+    )
+
+
+def or_invalid(call, *args):
+    """call(*args), or InvalidLength when it raises that."""
+    try:
+        return call(*args)
+    except InvalidLength:
+        return InvalidLength
+
+
+@pytest.mark.parametrize("den_max,seed", SPACES)
+def test_relative_complexes_match_fraction_route(den_max, seed, monkeypatch):
+    space = random_metric_space(5, seed, den_max)
+    scale = space._scaled[0]
+
+    def as_point(v):
+        t, p = v
+        assert type(t) is int
+        return CausalPoint(F(t, scale), p)
+
+    lengths = achievable_lengths_fraction(space, 3) + odd_lengths(space)
+    cases = [(a, b, l) for l in lengths for a in range(space.n) for b in range(space.n)]
+    reports = []
+    for a, b, l in cases:
+        for seq in walks_fraction(space, a, l, b):
+            assert seq_length(space, seq) == seq_length_fraction(space, seq) == l
+        assert pair_view(order_complex_pair(space, a, b, l), as_point) == pair_view(
+            order_complex_pair_fraction(space, a, b, l)
+        ), (a, b, l)
+        got = or_invalid(inner_pair, space, a, b, l)
+        expected = or_invalid(inner_pair_fraction, space, a, b, l)
+        if expected is InvalidLength:
+            assert got is InvalidLength, (a, b, l)
+        else:
+            assert pair_view(got, as_point) == pair_view(expected), (a, b, l)
+        reports.append(
+            (verify_chain_iso(space, a, b, l),
+             or_invalid(verify_suspension_shift, space, a, b, l))
+        )
+    # the verifiers give the same reports on the Fraction route
+    homology = importlib.import_module("magtop.homology")
+    monkeypatch.setattr(homology, "order_complex_pair", order_complex_pair_fraction)
+    monkeypatch.setattr(homology, "inner_pair", inner_pair_fraction)
+    monkeypatch.setattr(homology, "_stamps", seq_time_stamps_fraction)
+    for (a, b, l), (iso, shift) in zip(cases, reports):
+        assert iso.ok and iso == verify_chain_iso(space, a, b, l), (a, b, l)
+        assert shift is InvalidLength or shift.ok, (a, b, l)
+        assert shift == or_invalid(verify_suspension_shift, space, a, b, l), (a, b, l)
 
 
 @pytest.mark.parametrize("den_max,seed", SPACES)
