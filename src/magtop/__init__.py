@@ -1,17 +1,14 @@
 """Exact-arithmetic magnitude, sequence homology, and combinatorial
-models of the associated homotopy type for finite metric spaces."""
+models of the associated homotopy type for finite metric spaces.
+
+The package root exports what the magtop command uses, plus the space
+constructors and result types a library caller needs to reproduce it.
+Everything else is imported from its module (see README, Library layout).
+"""
 
 from .causal import (
-    CausalPoint,
-    CausalPoset,
     InvalidLength,
-    SimplicialComplex,
-    SimplicialPair,
     achievable_lengths,
-    essential_poset,
-    inner_pair,
-    lightlike_sequences,
-    order_complex_pair,
     pair_achievable_lengths,
     seq_time_stamps,
 )
@@ -29,128 +26,72 @@ from .docs import (
 from .frames import (
     EmptyComplex,
     FourCutObstruction,
-    Frame,
-    HasseGraph,
-    frame_of,
     framed_betti_prediction,
     hasse_graph,
     singular_sequences,
     thin_frames,
 )
 from .homology import (
-    ChainComplex,
     HomologySummary,
     VerifyReport,
     homology,
     magnitude_chain_complex,
-    magnitude_homology_total,
-    relative_chain_complex,
-    smith_normal_form,
     verify_chain_iso,
     verify_kunneth,
     verify_suspension_shift,
 )
 from .metric import (
-    INFINITE,
-    GluingSpec,
-    IntervalPoset,
     LabelError,
     MetricError,
     MetricSpace,
-    four_cuts,
     from_distance_matrix,
     from_weighted_graph,
     glue,
-    is_smooth,
-    open_interval,
     product,
     random_metric_space,
     restriction,
-    seq_length,
 )
 from .morse import (
-    AcyclicReport,
-    BoundedReport,
-    Matching,
-    NotAMatching,
     NotASycamoreTwist,
-    SequenceClass,
-    SycamoreTwist,
-    classify_sequence,
     critical_cells,
-    lightlike_simplices,
-    projecting_matching,
-    sycamore_tau,
-    verify_acyclic,
-    verify_bounded,
     verify_sycamore,
 )
 from .mv import (
-    GatedGluing,
     NotGated,
-    check_gated,
-    interior_part_betti,
     verify_mv,
     verify_union,
 )
 from .series import (
     EulerReport,
     HahnPolynomial,
-    SeriesMatrix,
     euler_check,
     format_series,
     magnitude,
-    perturbative_inverse,
     weighting,
-    z_inverse,
-    z_matrix,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcyclicReport",
-    "BoundedReport",
-    "CausalPoint",
-    "CausalPoset",
-    "ChainComplex",
     "DocumentError",
     "EmptyComplex",
     "EulerReport",
     "FourCutObstruction",
-    "Frame",
-    "GatedGluing",
-    "GluingSpec",
     "HahnPolynomial",
-    "HasseGraph",
     "HomologySummary",
-    "INFINITE",
-    "IntervalPoset",
     "InvalidLength",
     "LabelError",
-    "Matching",
     "MetricError",
     "MetricSpace",
-    "NotAMatching",
     "NotASycamoreTwist",
     "NotGated",
-    "SequenceClass",
-    "SeriesMatrix",
-    "SimplicialComplex",
-    "SimplicialPair",
-    "SycamoreTwist",
     "VerifyReport",
     "achievable_lengths",
-    "check_gated",
-    "classify_sequence",
     "critical_cells",
-    "essential_poset",
     "euler_check",
     "facets_from_doc",
     "format_rational",
     "format_series",
-    "four_cuts",
-    "frame_of",
     "framed_betti_prediction",
     "from_distance_matrix",
     "from_weighted_graph",
@@ -158,36 +99,20 @@ __all__ = [
     "gluing_from_doc",
     "hasse_graph",
     "homology",
-    "inner_pair",
-    "interior_part_betti",
-    "is_smooth",
-    "lightlike_sequences",
-    "lightlike_simplices",
     "load_doc",
     "load_fixture",
     "magnitude",
     "magnitude_chain_complex",
-    "magnitude_homology_total",
-    "open_interval",
-    "order_complex_pair",
     "pair_achievable_lengths",
     "parse_rational",
-    "perturbative_inverse",
     "product",
-    "projecting_matching",
     "random_metric_space",
-    "relative_chain_complex",
     "restriction",
-    "seq_length",
     "seq_time_stamps",
     "singular_sequences",
-    "smith_normal_form",
     "space_from_doc",
-    "sycamore_tau",
     "thin_frames",
     "twist_from_doc",
-    "verify_acyclic",
-    "verify_bounded",
     "verify_chain_iso",
     "verify_kunneth",
     "verify_mv",
@@ -195,6 +120,4 @@ __all__ = [
     "verify_sycamore",
     "verify_union",
     "weighting",
-    "z_inverse",
-    "z_matrix",
 ]

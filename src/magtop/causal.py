@@ -172,13 +172,10 @@ class CausalPoset:
     Its points are (t, point) pairs with t the time times the space's scale.
     """
 
-    __slots__ = ("space", "a", "b", "l", "points")
+    __slots__ = ("space", "points")
 
-    def __init__(self, space, a, b, l, points):
+    def __init__(self, space, points):
         self.space = space
-        self.a = a
-        self.b = b
-        self.l = Fraction(l)
         self.points = tuple(sorted(points))
 
     def leq(self, u, v):
@@ -217,7 +214,7 @@ def essential_poset(space, a, b, l):
     pts = set()
     for seq in lightlike_sequences(space, a, b, l):
         pts.update(_stamps(space, seq))
-    return CausalPoset(space, a, b, l, pts)
+    return CausalPoset(space, pts)
 
 
 VOID = "void"
@@ -253,23 +250,9 @@ class SimplicialComplex:
         return cls(True, ())
 
     @classmethod
-    def empty(cls):
-        return cls(False, ())
-
-    @classmethod
-    def of(cls, simplices, close=False):
-        sims = set(tuple(sorted(s)) for s in simplices)
-        if close:
-            stack = list(sims)
-            while stack:
-                s = stack.pop()
-                if len(s) > 1:
-                    for i in range(len(s)):
-                        face = s[:i] + s[i + 1:]
-                        if face not in sims:
-                            sims.add(face)
-                            stack.append(face)
-        return cls(False, sims)
+    def of(cls, simplices):
+        """Nonvoid complex on simplices, which must be closed under faces."""
+        return cls(False, (tuple(sorted(s)) for s in simplices))
 
     @property
     def state(self):
@@ -350,7 +333,7 @@ def order_complex_pair(space, a, b, l):
     l = Fraction(l)
     # the essential poset, from the stamps the relative-part check reuses
     stamped = {_stamps(space, s) for s in lightlike_sequences(space, a, b, l)}
-    poset = CausalPoset(space, a, b, l, set().union(*stamped))
+    poset = CausalPoset(space, set().union(*stamped))
     if not poset.points:
         return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
     top = int(l * space._scaled[0])  # exact, as sequences of length l exist
@@ -383,7 +366,7 @@ def inner_pair(space, a, b, l):
     top = int(l * space._scaled[0])  # exact whenever the poset has points
     ends = {(0, a), (top, b)}
     mid = [p for p in poset.points if p not in ends]
-    mid_poset = CausalPoset(space, a, b, l, mid)
+    mid_poset = CausalPoset(space, mid)
     return _chain_pair(
         mid_poset.chains(),
         lambda c: scaled_length(space, [a] + [p for _, p in c] + [b]) < top,

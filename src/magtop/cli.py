@@ -295,7 +295,7 @@ def cmd_frames(args):
     if args.from_label is not None:
         a = space.index(args.from_label)
         b = space.index(args.to_label)
-        found = sorted(f.points for f in singular_sequences(space, a, b, l))
+        found = sorted(singular_sequences(space, a, b, l))
         frames = [[space.labels[p] for p in pts] for pts in found]
         prediction = framed_betti_prediction(space, a, b, l)
         doc = {
@@ -311,7 +311,7 @@ def cmd_frames(args):
         lines.append("# predicted betti")
         lines += ["k=%d: %d" % kr for kr in prediction.items()] or ["none"]
         return PASS_CODE, doc, lines
-    found = sorted(f.points for f in thin_frames(space, l))
+    found = sorted(thin_frames(space, l))
     thin = [[space.labels[p] for p in pts] for pts in found]
     by_degree = sorted(Counter(len(pts) - 1 for pts in found).items())
     doc = {

@@ -41,10 +41,15 @@ def parse_rational(value):
 
 
 def format_rational(value):
-    value = Fraction(value)
+    """"p/q", or "p" when q is 1, for an int or a Fraction."""
     if value.denominator == 1:
         return str(value.numerator)
     return "%d/%d" % (value.numerator, value.denominator)
+
+
+def _check_type(doc, kind):
+    if not isinstance(doc, dict) or doc.get("type") != kind:
+        raise DocumentError("not a %s document" % (kind,))
 
 
 def _require(doc, key, kind):
@@ -76,6 +81,8 @@ def space_from_doc(doc):
             isinstance(x, str) for x in vertices
         ):
             raise DocumentError("vertices must be strings")
+        if not isinstance(edges, list):
+            raise DocumentError("edges must be a list of [u, v, weight]")
         parsed = []
         for e in edges:
             if not isinstance(e, list) or len(e) != 3:
@@ -94,37 +101,35 @@ def _k_indices(space, labels, kind):
     return tuple(space.index(x) for x in labels)
 
 
+def _gluing_parts(doc, kind):
+    """(g, h, k_in_g, k_in_h) of a gluing or twist document."""
+    _check_type(doc, kind)
+    g = space_from_doc(_require(doc, "g", kind))
+    h = space_from_doc(_require(doc, "h", kind))
+    k_in_g = _k_indices(g, _require(doc, "k_in_g", kind), "k_in_g")
+    k_in_h = _k_indices(h, _require(doc, "k_in_h", kind), "k_in_h")
+    return g, h, k_in_g, k_in_h
+
+
 def gluing_from_doc(doc):
     """GluingSpec from a gluing document (two spaces plus K label lists)."""
-    if doc.get("type") != "gluing":
-        raise DocumentError("not a gluing document")
-    g = space_from_doc(_require(doc, "g", "gluing"))
-    h = space_from_doc(_require(doc, "h", "gluing"))
-    k_in_g = _k_indices(g, _require(doc, "k_in_g", "gluing"), "k_in_g")
-    k_in_h = _k_indices(h, _require(doc, "k_in_h", "gluing"), "k_in_h")
-    return glue(g, h, k_in_g, k_in_h)
+    return glue(*_gluing_parts(doc, "gluing"))
 
 
 def twist_from_doc(doc):
     """SycamoreTwist from a twist document (gluing data plus permutation)."""
-    if doc.get("type") != "twist":
-        raise DocumentError("not a twist document")
-    g = space_from_doc(_require(doc, "g", "twist"))
-    h = space_from_doc(_require(doc, "h", "twist"))
-    k_in_g = _k_indices(g, _require(doc, "k_in_g", "twist"), "k_in_g")
-    k_in_h = _k_indices(h, _require(doc, "k_in_h", "twist"), "k_in_h")
+    parts = _gluing_parts(doc, "twist")
     alpha = _require(doc, "alpha", "twist")
     if not isinstance(alpha, list) or not all(
         isinstance(t, int) and not isinstance(t, bool) for t in alpha
     ):
         raise DocumentError("alpha must be a list of positions")
-    return SycamoreTwist(g, h, k_in_g, k_in_h, tuple(alpha))
+    return SycamoreTwist(*parts, tuple(alpha))
 
 
 def facets_from_doc(doc):
     """Facet list from a complex document."""
-    if doc.get("type") != "complex":
-        raise DocumentError("not a complex document")
+    _check_type(doc, "complex")
     facets = _require(doc, "facets", "complex")
     if not isinstance(facets, list) or any(
         not isinstance(f, list) for f in facets
@@ -142,6 +147,10 @@ def load_doc(path):
             return json.load(fh)
     except OSError as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError("%s is not UTF-8 text: %s" % (path, exc)) from exc
+    except RecursionError as exc:
+        raise DocumentError("%s nests too deeply to read" % (path,)) from exc
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON in %s: %s" % (path, exc)) from exc
 

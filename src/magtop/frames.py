@@ -1,10 +1,12 @@
 """Frames of sequences and the per-frame homology prediction.
 
-Dropping a smooth point of a sequence never changes which frame it has,
-so full-length sequences split by frame; each frame predicts homology as
-a convolution of double-suspended open-interval factors.  The weighted
-Hasse-graph construction realizes the reduced homology of an arbitrary
-finite complex inside a graph's sequence homology.
+A frame is a sequence with no smooth interior point, a tuple of point
+indices like every sequence.  Dropping a smooth point of a sequence never
+changes which frame it has, so full-length sequences split by frame; each
+frame predicts homology as a convolution of double-suspended
+open-interval factors.  The weighted Hasse-graph construction realizes
+the reduced homology of an arbitrary finite complex inside a graph's
+sequence homology.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ from .causal import (
     walks,
 )
 from .homology import homology, relative_chain_complex
-from .metric import (
-    MetricError,
-    four_cuts,
-    from_weighted_graph,
-    is_smooth,
-    open_interval,
-    seq_length,
-)
+from .metric import MetricError, four_cuts, from_weighted_graph, open_interval
 
 
 class FourCutObstruction(ValueError):
@@ -36,34 +31,6 @@ class FourCutObstruction(ValueError):
 
 class EmptyComplex(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Sequence of singular points; consecutive points stay distinct."""
-
-    points: tuple
-
-    @property
-    def degree(self):
-        return len(self.points) - 1
-
-    def length(self, space):
-        return seq_length(space, self.points)
-
-    def labels(self, space):
-        return tuple(space.labels[p] for p in self.points)
-
-
-def frame_of(space, seq):
-    """Subsequence of singular points; endpoints always kept."""
-    seq = tuple(seq)
-    kept = tuple(
-        x
-        for k, x in enumerate(seq)
-        if k == 0 or k == len(seq) - 1 or not is_smooth(space, seq, k)
-    )
-    return Frame(kept)
 
 
 def _four_cut_guard(space, l):
@@ -90,14 +57,15 @@ def _frame_steps(space, steps):
 
 
 def singular_sequences(space, a, b, l):
-    """All frames from a to b of exact length l, refused at or past m_X."""
+    """All frames from a to b of exact length l, lexicographic; refused at
+    or past m_X."""
     l = Fraction(l)
     if l < 0:
         raise InvalidLength("negative length %s" % (l,))
     _four_cut_guard(space, l)
     n = space.n
     steps = [[y for y in range(n) if y != x] for x in range(n)]
-    return [Frame(s) for s in walks(space, a, l, b, _frame_steps(space, steps))]
+    return walks(space, a, l, b, _frame_steps(space, steps))
 
 
 def _interval_factor(space, x, y):
@@ -115,7 +83,7 @@ def framed_betti_prediction(space, a, b, l):
     prediction = {}
     for frame in singular_sequences(space, a, b, l):
         acc = {0: 1}
-        for step in zip(frame.points, frame.points[1:]):
+        for step in zip(frame, frame[1:]):
             if step not in factors:
                 factors[step] = _interval_factor(space, *step)
             nxt = {}
@@ -140,9 +108,7 @@ def thin_frames(space, l):
         for x in range(n)
     ]
     successors = _frame_steps(space, thin)
-    return [
-        Frame(s) for a in range(n) for s in walks(space, a, l, successors=successors)
-    ]
+    return [s for a in range(n) for s in walks(space, a, l, successors=successors)]
 
 
 @dataclass(frozen=True)

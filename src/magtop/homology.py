@@ -20,7 +20,7 @@ from .causal import (
     order_complex_pair,
     pair_achievable_lengths,
 )
-from .metric import InternalFault
+from .metric import InternalFault, product
 
 
 class BoundarySquareNonzero(InternalFault):
@@ -206,9 +206,6 @@ class HomologySummary:
             torsion.setdefault(k, []).extend(f)
         return HomologySummary.build(betti, torsion)
 
-    def is_zero(self):
-        return not self.betti and not self.torsion
-
 
 def homology(cc):
     """Betti numbers and torsion of an integer chain complex."""
@@ -362,10 +359,8 @@ def verify_kunneth(x, y, lmax):
     over all splits of the length; when the factors are torsion-free the
     product must be torsion-free as well.
     """
-    from .metric import product as metric_product
-
     lmax = Fraction(lmax)
-    prod, pidx = metric_product(x, y)
+    prod, pidx = product(x, y)
 
     def factor_table(space):
         return {

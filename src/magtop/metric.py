@@ -135,9 +135,6 @@ class MetricSpace:
     def n(self):
         return len(self.labels)
 
-    def d(self, i, j):
-        return self.dist[i][j]
-
     def index(self, label):
         try:
             return self.labels.index(label)
@@ -227,7 +224,10 @@ def restriction(space, indices):
 
 
 def product(x, y):
-    """l1-style product: d((a,b),(a',b')) = d_X(a,a') + d_Y(b,b')."""
+    """l1-style product: d((a,b),(a',b')) = d_X(a,a') + d_Y(b,b').
+
+    Returns the product space and the map (i, j) -> product point index.
+    """
     labels = tuple(
         "(%s,%s)" % (lx, ly) for lx in x.labels for ly in y.labels
     )
@@ -240,12 +240,7 @@ def product(x, y):
                 for m in range(ny):
                     row.append(x.dist[i][k] + y.dist[j][m])
             dist.append(tuple(row))
-    return MetricSpace(labels, tuple(dist)), _product_index(nx, ny)
-
-
-def _product_index(nx, ny):
-    """Map (i, j) factor indices to the product point index."""
-    return lambda i, j: i * ny + j
+    return MetricSpace(labels, tuple(dist)), lambda i, j: i * ny + j
 
 
 def scaled_length(space, seq):

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .causal import achievable_lengths, lightlike_sequences
 from .homology import VerifyReport
 from .metric import InternalFault, glue, seq_length
+from .series import format_series, magnitude
 
 
 class NotAMatching(ValueError):
@@ -69,9 +70,6 @@ class Matching:
         self.pairs = pairs
         self._up = up
         self._down = down
-
-    def coface_of(self, face):
-        return self._up.get(face)
 
     def is_matched(self, simplex):
         return simplex in self._up or simplex in self._down
@@ -387,6 +385,8 @@ class SycamoreTwist:
     def __init__(self, g, h, k_in_g, k_in_h, alpha):
         alpha = tuple(alpha)
         m = len(k_in_g)
+        # glue checks K first, so the alpha checks index equal-length lists
+        x = glue(g, h, k_in_g, k_in_h)
         if sorted(alpha) != list(range(m)):
             raise NotASycamoreTwist("alpha is not a permutation of the common part")
         for s in range(m):
@@ -398,7 +398,6 @@ class SycamoreTwist:
                     raise NotASycamoreTwist(
                         "alpha is not a self-isometry at positions (%d,%d)" % (s, t)
                     )
-        x = glue(g, h, k_in_g, k_in_h)
         y = glue(g, h, k_in_g, tuple(k_in_h[alpha[t]] for t in range(m)))
         for glued in sorted(x.neutral):
             j_h = x.h_to_x.index(glued)
@@ -476,8 +475,6 @@ def verify_sycamore(twist, lmax):
     dimension, matched pairs cancel in the alternating count, and the
     truncated magnitude series of the two spaces coincide.
     """
-    from .series import format_series, magnitude
-
     x, y = twist.x.space, twist.y.space
     lmax = Fraction(lmax)
     rows = []

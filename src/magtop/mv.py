@@ -19,7 +19,7 @@ from .homology import (
     homology,
     magnitude_homology_total,
 )
-from .metric import GluingSpec, InternalFault, is_smooth, restriction
+from .metric import InternalFault, is_smooth, restriction
 
 
 class FaceEscapedInterior(InternalFault):
@@ -37,16 +37,9 @@ class NotGated:
         return False
 
 
-@dataclass(frozen=True)
-class GatedGluing:
-    base: GluingSpec
-
-    def __bool__(self):
-        return True
-
-
 def check_gated(gspec):
-    """Gated wrapper when no interior point is neutral, refusal otherwise."""
+    """The refusal when some interior point is neutral, None when the
+    gluing is gated."""
     if gspec.neutral:
         glued = min(gspec.neutral)
         label = gspec.space.labels[glued]
@@ -54,33 +47,23 @@ def check_gated(gspec):
             witness=label,
             detail="%d neutral interior points, e.g. %s" % (len(gspec.neutral), label),
         )
-    return GatedGluing(gspec)
+    return None
 
 
-def _as_gated(g):
-    if isinstance(g, GatedGluing):
-        return g
-    if isinstance(g, GluingSpec):
-        return check_gated(g)
-    raise TypeError("expected a gluing, got %r" % (g,))
-
-
-def interior_part_betti(gated, l):
+def interior_part_betti(gspec, l):
     """Homology of sequences in the attached side that touch its interior.
 
-    Works inside the h metric space: for each ordered endpoint pair, the
+    The caller has checked that the gluing is gated (check_gated).  Works
+    inside the h metric space: for each ordered endpoint pair, the
     generators are full-length sequences meeting h∖K, and boundary faces
     either shorten or keep touching.  A face stays full-length when the
     dropped point is smooth; if that point were the sequence's only one in
     h∖K, the face would leave the interior, which the gate inequality rules
     out, so it raises FaceEscapedInterior instead of counting as zero.
     """
-    gated = _as_gated(gated)
-    if isinstance(gated, NotGated):
-        return gated
-    h = gated.base.h
+    h = gspec.h
     l = Fraction(l)
-    inside_k = frozenset(gated.base.k_in_h)
+    inside_k = frozenset(gspec.k_in_h)
     total = HomologySummary()
     for a in range(h.n):
         for b in range(h.n):
@@ -118,18 +101,17 @@ def _compare(rows, problems, l, left, right, tag):
         problems.append("%s torsion differs at length %s" % (tag, l))
 
 
-def verify_union(g, lmax):
+def verify_union(gluing, lmax):
     """Glued-space homology against attached interior part plus base side."""
-    gated = _as_gated(g)
-    if isinstance(gated, NotGated):
-        return gated
-    gluing = gated.base
+    refusal = check_gated(gluing)
+    if refusal is not None:
+        return refusal
     lmax = Fraction(lmax)
     rows = []
     problems = []
     for l in _lengths((gluing.space, gluing.g, gluing.h), lmax):
         whole = magnitude_homology_total(gluing.space, l)
-        split = interior_part_betti(gated, l).plus(
+        split = interior_part_betti(gluing, l).plus(
             magnitude_homology_total(gluing.g, l)
         )
         _compare(rows, problems, l, whole, split, "union")
@@ -139,12 +121,11 @@ def verify_union(g, lmax):
     return VerifyReport(not problems, detail, tuple(rows))
 
 
-def verify_mv(g, lmax):
+def verify_mv(gluing, lmax):
     """Rank and torsion additivity: X with K against G with H."""
-    gated = _as_gated(g)
-    if isinstance(gated, NotGated):
-        return gated
-    gluing = gated.base
+    refusal = check_gated(gluing)
+    if refusal is not None:
+        return refusal
     lmax = Fraction(lmax)
     kspace = restriction(gluing.g, gluing.k_in_g)
     rows = []

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .causal import lightlike_sequences, pair_achievable_lengths
+from .homology import homology, magnitude_chain_complex
 
 
 def _min_trunc(a, b):
@@ -259,8 +260,6 @@ def euler_check(space, lmax):
     length-l homology for that pair; weightings and magnitude aggregate
     accordingly.
     """
-    from .homology import homology, magnitude_chain_complex
-
     lmax = Fraction(lmax)
     inv = z_inverse(space, lmax)
     checked = 0

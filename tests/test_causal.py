@@ -5,25 +5,27 @@ from fractions import Fraction
 
 import pytest
 
-from magtop import (
+from magtop.causal import (
     CausalPoint,
     CausalPoset,
     SimplicialComplex,
     SimplicialPair,
+    _stamps,
     achievable_lengths,
     essential_poset,
-    from_distance_matrix,
-    from_weighted_graph,
     inner_pair,
     lightlike_sequences,
     order_complex_pair,
     pair_achievable_lengths,
-    perturbative_inverse,
-    random_metric_space,
-    seq_length,
     seq_time_stamps,
 )
-from magtop.causal import _stamps
+from magtop.metric import (
+    from_distance_matrix,
+    from_weighted_graph,
+    random_metric_space,
+    seq_length,
+)
+from magtop.series import perturbative_inverse
 
 F = Fraction
 
@@ -223,7 +225,7 @@ def test_poset_chains_are_ordered_subsets():
 
 def test_simplicial_complex_tri_state():
     void = SimplicialComplex.void()
-    empty = SimplicialComplex.empty()
+    empty = SimplicialComplex.of([])
     one = SimplicialComplex.of([("x",)])
     assert void.state == "void"
     assert empty.state == "empty"
@@ -235,8 +237,19 @@ def test_simplicial_complex_tri_state():
     assert len(one) == 1
 
 
+def closure(*facets):
+    """Every nonempty face of the facets: SimplicialComplex.of wants its
+    input closed under faces."""
+    return [
+        face
+        for facet in facets
+        for k in range(1, len(facet) + 1)
+        for face in itertools.combinations(facet, k)
+    ]
+
+
 def test_simplicial_complex_face_closure():
-    tri = SimplicialComplex.of([("a", "b", "c")], close=True)
+    tri = SimplicialComplex.of(closure(("a", "b", "c")))
     assert len(tri) == 7
     assert ("a", "c") in tri
     with pytest.raises(AssertionError):
@@ -244,14 +257,14 @@ def test_simplicial_complex_face_closure():
 
 
 def test_simplicial_pair_relative_simplices():
-    total = SimplicialComplex.of([("a", "b")], close=True)
+    total = SimplicialComplex.of(closure(("a", "b")))
     sub = SimplicialComplex.of([("a",)])
     pair = SimplicialPair(total, sub)
     assert pair.relative_simplices() == [("b",), ("a", "b")]
     with pytest.raises(AssertionError):
         SimplicialPair(sub, total)
     # a void sub leaves every simplex, sorted by size then lexicographically
-    big = SimplicialComplex.of([("a", "b", "c"), ("b", "d")], close=True)
+    big = SimplicialComplex.of(closure(("a", "b", "c"), ("b", "d")))
     everything = SimplicialPair(big, SimplicialComplex.void())
     assert everything.relative_simplices() == [
         ("a",), ("b",), ("c",), ("d",),
@@ -316,5 +329,5 @@ def test_inner_pair_short_side():
 
 def test_constant_poset_chain_has_no_repeats():
     sp = unit_complete(2)
-    poset = CausalPoset(sp, 0, 0, F(0), [(0, 0)])
+    poset = CausalPoset(sp, [(0, 0)])
     assert poset.chains() == [((0, 0),)]

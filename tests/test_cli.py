@@ -356,6 +356,59 @@ def test_exit_parse_errors(capsys, tmp_path):
         assert "error: argument --jobs" in capsys.readouterr().err
 
 
+def _short_k_twist():
+    doc = magtop.load_fixture("sycamore_twist")
+    doc["k_in_h"] = doc["k_in_h"][:1]
+    return json.dumps(doc)
+
+
+# malformed documents: (argv with DOC for the document's path, its bytes,
+# exit code, a phrase of the error line)
+MALFORMED = {
+    "gluing-list-critical-cells": (["critical-cells", "DOC", "--l", "1"], b"[1, 2]", 2, "not a gluing document"),
+    "gluing-list-union": (["verify", "union", "DOC", "--lmax", "1"], b"[]", 2, "not a gluing document"),
+    "gluing-list-mv": (["verify", "mv", "DOC", "--lmax", "1"], b"[]", 2, "not a gluing document"),
+    "twist-list": (["verify", "sycamore", "DOC", "--lmax", "1"], b"[]", 2, "not a twist document"),
+    "complex-list": (["hasse", "DOC"], b'["a", "b"]', 2, "not a complex document"),
+    "graph-edges-not-list": (
+        ["lengths", "DOC", "--lmax", "1"],
+        b'{"type": "graph", "vertices": ["a", "b"], "edges": 5}',
+        2,
+        "edges must be a list",
+    ),
+    "not-utf8": (["lengths", "DOC", "--lmax", "1"], b'{"type": "\xff"}', 2, "not UTF-8"),
+    "deep-nesting": (["lengths", "DOC", "--lmax", "1"], b"[" * 100000 + b"]" * 100000, 2, "nests too deeply"),
+    "twist-short-k-in-h": (
+        ["verify", "sycamore", "DOC", "--lmax", "1"],
+        _short_k_twist().encode(),
+        3,
+        "K index lists differ in length",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_exit_malformed_documents(tmp_path, case):
+    # run as a process: an exception escaping main would exit 1, the FAIL
+    # code, with a traceback
+    argv, body, want, phrase = MALFORMED[case]
+    path = tmp_path / "doc.json"
+    path.write_bytes(body)
+    argv = [str(path) if arg == "DOC" else arg for arg in argv]
+    src = os.path.dirname(os.path.dirname(magtop.__file__))
+    run_ = subprocess.run(
+        [sys.executable, "-m", "magtop.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert run_.returncode == want
+    assert run_.stdout == ""
+    assert "Traceback" not in run_.stderr
+    assert run_.stderr.startswith("error: ") and phrase in run_.stderr
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_stdout_exits_quietly(unbuffered):
     # the reader closes before any output, so every write hits a closed
@@ -633,3 +686,37 @@ def test_verify_output_pinned(capsys, monkeypatch, case, fmt):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERDICT_PINS[
         case, fmt
     ]
+
+
+PUBLIC_NAMES = [
+    "DocumentError", "EmptyComplex", "EulerReport", "FourCutObstruction",
+    "HahnPolynomial", "HomologySummary", "InvalidLength", "LabelError",
+    "MetricError", "MetricSpace", "NotASycamoreTwist", "NotGated",
+    "VerifyReport", "achievable_lengths", "critical_cells", "euler_check",
+    "facets_from_doc", "format_rational", "format_series",
+    "framed_betti_prediction", "from_distance_matrix", "from_weighted_graph",
+    "glue", "gluing_from_doc", "hasse_graph", "homology", "load_doc",
+    "load_fixture", "magnitude", "magnitude_chain_complex",
+    "pair_achievable_lengths", "parse_rational", "product",
+    "random_metric_space", "restriction", "seq_time_stamps",
+    "singular_sequences", "space_from_doc", "thin_frames", "twist_from_doc",
+    "verify_chain_iso", "verify_kunneth", "verify_mv",
+    "verify_suspension_shift", "verify_sycamore", "verify_union", "weighting",
+]
+
+
+def test_package_root_exports_what_the_cli_uses():
+    # the root exports every public name cli imports, plus the space
+    # constructors and result types; everything else stays in its module
+    assert sorted(magtop.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(magtop, name)
+        assert value is getattr(importlib.import_module(value.__module__), name)
+    used = {
+        name
+        for name, value in vars(cli).items()
+        if not name.startswith("_")
+        and getattr(value, "__module__", "").startswith("magtop.")
+        and value.__module__ != cli.__name__
+    }
+    assert len(used) == 38 and used <= set(PUBLIC_NAMES)

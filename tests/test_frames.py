@@ -10,8 +10,6 @@ from magtop.docs import load_fixture, space_from_doc
 from magtop.frames import (
     EmptyComplex,
     FourCutObstruction,
-    Frame,
-    frame_of,
     framed_betti_prediction,
     hasse_graph,
     singular_sequences,
@@ -23,6 +21,7 @@ from magtop.metric import (
     MetricError,
     MetricSpace,
     four_cuts,
+    is_smooth,
     open_interval,
     random_metric_space,
     seq_length,
@@ -61,31 +60,41 @@ def weighted_path():
 def degree_hist(space_, l):
     out = {}
     for f in thin_frames(space_, l):
-        out[f.degree] = out.get(f.degree, 0) + 1
+        out[len(f) - 1] = out.get(len(f) - 1, 0) + 1
     return out
+
+
+def frame_of(space_, seq):
+    """Subsequence of singular points, endpoints always kept: the
+    brute-force oracle for the frame enumerators."""
+    return tuple(
+        x
+        for k, x in enumerate(seq)
+        if k == 0 or k == len(seq) - 1 or not is_smooth(space_, seq, k)
+    )
 
 
 def test_frame_of_drops_smooth_interior():
     path = space("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    assert frame_of(path, (0, 1, 2)).points == (0, 2)
-    assert frame_of(k3(), (0, 1, 2)).points == (0, 1, 2)
-    assert frame_of(path, (0, 1)).points == (0, 1)
+    assert frame_of(path, (0, 1, 2)) == (0, 2)
+    assert frame_of(k3(), (0, 1, 2)) == (0, 1, 2)
+    assert frame_of(path, (0, 1)) == (0, 1)
 
 
-def test_frame_accessors():
-    f = Frame((0, 2, 1))
-    assert f.degree == 2
-    assert f.length(k3()) == 2
-    assert f.labels(k3()) == ("a", "c", "b")
+def test_frames_are_point_tuples():
+    # a frame is a plain point-index tuple, like every other sequence
+    x = k3()
+    frames = singular_sequences(x, 0, 1, 2) + thin_frames(x, 2)
+    assert frames and all(type(f) is tuple and seq_length(x, f) == 2 for f in frames)
 
 
 def test_singular_sequences_small_cases():
     two = space("ab", [[0, 1], [1, 0]])
-    assert [f.points for f in singular_sequences(two, 0, 1, 1)] == [(0, 1)]
+    assert singular_sequences(two, 0, 1, 1) == [(0, 1)]
     assert singular_sequences(two, 0, 1, 2) == []
-    assert [f.points for f in singular_sequences(two, 0, 0, 2)] == [(0, 1, 0)]
-    assert [f.points for f in singular_sequences(k3(), 0, 1, 2)] == [(0, 2, 1)]
-    assert [f.points for f in singular_sequences(two, 0, 0, 0)] == [(0,)]
+    assert singular_sequences(two, 0, 0, 2) == [(0, 1, 0)]
+    assert singular_sequences(k3(), 0, 1, 2) == [(0, 2, 1)]
+    assert singular_sequences(two, 0, 0, 0) == [(0,)]
     assert singular_sequences(two, 0, 1, 0) == []
 
 
@@ -94,7 +103,7 @@ def test_frames_are_idempotent():
     for a in range(x.n):
         for b in range(x.n):
             for f in singular_sequences(x, a, b, 2):
-                assert frame_of(x, f.points).points == f.points
+                assert frame_of(x, f) == f
 
 
 def brute_sequences(x, lmax):
@@ -120,20 +129,20 @@ def test_frames_match_brute_force_on_random_spaces():
             brute = brute_sequences(x, 3)
             assert sorted(brute) == achievable_lengths(x, 3)
             for l, seqs in brute.items():
-                frames = [s for s in seqs if frame_of(x, s).points == s]
+                frames = [s for s in seqs if frame_of(x, s) == s]
                 thin = [
                     s for s in frames
                     if all(not open_interval(x, p, q).carrier
                            for p, q in zip(s, s[1:]))
                 ]
-                got = sorted(f.points for f in thin_frames(x, l))
+                got = sorted(thin_frames(x, l))
                 assert got == thin, (den_max, seed, l)
                 if l >= m_x:
                     continue
                 for a in range(x.n):
                     for b in range(x.n):
                         want = [s for s in frames if (s[0], s[-1]) == (a, b)]
-                        got = [f.points for f in singular_sequences(x, a, b, l)]
+                        got = singular_sequences(x, a, b, l)
                         assert got == want, (den_max, seed, l, a, b)
 
 
@@ -229,7 +238,7 @@ def test_hasse_triangle_boundary():
     )
     assert hg.l == 3 and hg.zero == "0hat" and hg.one == "1hat"
     assert all(w == 1 for _, _, w in hg.edges)
-    assert hg.space.d(hg.space.index("0hat"), hg.space.index("1hat")) == 3
+    assert hg.space.dist[hg.space.index("0hat")][hg.space.index("1hat")] == 3
 
 
 def test_hasse_single_vertex():
@@ -248,8 +257,8 @@ def test_hasse_levels_non_top_maximal_simplices():
     heavy = [e for e in hg.edges if e[2] != 1]
     assert heavy == [("a|b", "1hat", Fraction(2))]
     idx = hg.space.index
-    assert hg.space.d(idx("a|b"), idx("1hat")) == 2
-    assert hg.space.d(idx("0hat"), idx("1hat")) == 4
+    assert hg.space.dist[idx("a|b")][idx("1hat")] == 2
+    assert hg.space.dist[idx("0hat")][idx("1hat")] == 4
 
 
 def test_hasse_input_validation():

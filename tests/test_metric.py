@@ -4,10 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from magtop import (
+from magtop.metric import (
+    AsymmetryError,
+    DisconnectedGraph,
+    EmptyK,
     INFINITE,
     LabelError,
     MetricError,
+    NonpositiveWeight,
+    NotIsometricEmbedding,
+    TriangleViolation,
+    ZeroOffDiagonal,
     four_cuts,
     from_distance_matrix,
     from_weighted_graph,
@@ -18,15 +25,6 @@ from magtop import (
     random_metric_space,
     restriction,
     seq_length,
-)
-from magtop.metric import (
-    AsymmetryError,
-    DisconnectedGraph,
-    EmptyK,
-    NonpositiveWeight,
-    NotIsometricEmbedding,
-    TriangleViolation,
-    ZeroOffDiagonal,
 )
 
 F = Fraction
@@ -114,7 +112,7 @@ def test_weighted_graph_against_path_oracle():
 
 def test_weighted_graph_parallel_edges_keep_lightest():
     sp = from_weighted_graph(("a", "b"), [("a", "b", 5), ("b", "a", 2)])
-    assert sp.d(0, 1) == 2
+    assert sp.dist[0][1] == 2
 
 
 def test_weighted_graph_rejections():
@@ -134,7 +132,7 @@ def test_restriction_keeps_submatrix():
     )
     sub = restriction(sp, (0, 2))
     assert sub.labels == ("a", "c")
-    assert sub.d(0, 1) == 2
+    assert sub.dist[0][1] == 2
 
 
 def test_product_of_edges_is_a_four_cycle():
@@ -142,8 +140,8 @@ def test_product_of_edges_is_a_four_cycle():
     prod, pidx = product(k2, k2)
     assert prod.n == 4
     # opposite corners at distance 2, adjacent at 1
-    assert prod.d(pidx(0, 0), pidx(1, 1)) == 2
-    assert prod.d(pidx(0, 0), pidx(0, 1)) == 1
+    assert prod.dist[pidx(0, 0)][pidx(1, 1)] == 2
+    assert prod.dist[pidx(0, 0)][pidx(0, 1)] == 1
     c4 = from_weighted_graph(
         ("w", "x", "y", "z"),
         [("w", "x", 1), ("x", "y", 1), ("y", "z", 1), ("z", "w", 1)],
@@ -151,7 +149,7 @@ def test_product_of_edges_is_a_four_cycle():
     corner = {pidx(0, 0): 0, pidx(0, 1): 1, pidx(1, 1): 2, pidx(1, 0): 3}
     for i in range(4):
         for j in range(4):
-            assert prod.d(i, j) == c4.dist[corner[i]][corner[j]]
+            assert prod.dist[i][j] == c4.dist[corner[i]][corner[j]]
 
 
 def test_seq_length_and_smoothness():
@@ -216,7 +214,7 @@ def test_glue_classifies_interior_points():
     assert gl.gates[v] == gl.space.index("p")
     # glued distances route through K
     u = gl.space.index("u")
-    assert gl.space.d(u, v) == 2  # u-p-v
+    assert gl.space.dist[u][v] == 2  # u-p-v
     assert gl.side_g() | gl.interior_h == frozenset(range(gl.space.n))
 
 
@@ -257,7 +255,7 @@ def test_glue_projection_distances_minimize_over_k():
     gl = glue(g, h, (0, 1), (0, 1))
     u = gl.space.index("u")
     v = gl.space.index("v")
-    assert gl.space.d(u, v) == 2  # min over p and q crossings
+    assert gl.space.dist[u][v] == 2  # min over p and q crossings
     assert v in gl.neutral
 
 

@@ -48,10 +48,7 @@ def sycamore_gluing():
 def test_matching_accessors():
     m = Matching([(("a",), ("a", "b")), (("c",), ("b", "c"))])
     assert len(m) == 2
-    assert m.coface_of(("a",)) == ("a", "b")
-    assert m.coface_of(("c",)) == ("b", "c")
-    assert m.coface_of(("b",)) is None
-    assert m.coface_of(("a", "b")) is None
+    assert m.pairs == ((("a",), ("a", "b")), (("c",), ("b", "c")))
     assert m.is_matched(("c",)) and m.is_matched(("b", "c"))
     assert not m.is_matched(("b",))
     assert m == Matching(reversed(list(m)))
@@ -74,7 +71,7 @@ def test_matching_rejects_bad_pairs():
 def test_matching_accepts_face_of_repeating_coface():
     # the coface repeats a point, so its point set is not larger
     m = Matching([((0, 1, 2), (0, 1, 0, 2))])
-    assert m.coface_of((0, 1, 2)) == (0, 1, 0, 2)
+    assert m.pairs == (((0, 1, 2), (0, 1, 0, 2)),)
 
 
 def test_matching_outside_complex_rejected():
@@ -111,10 +108,10 @@ def test_cycle_witness_on_triangle_boundary():
     # each step is a matched up-arrow or an unmatched down-arrow
     for s, t in zip(rep.cycle, rep.cycle[1:] + rep.cycle[:1]):
         if len(t) == len(s) + 1:
-            assert m.coface_of(s) == t
+            assert (s, t) in m.pairs
         else:
             assert len(t) == len(s) - 1 and set(t) < set(s)
-            assert m.coface_of(t) != s
+            assert (t, s) not in m.pairs
     bounded = verify_bounded(cells, m)
     assert not bounded and bounded.bounds == {}
 
@@ -139,12 +136,13 @@ def dfs_bounds(simplices, matching):
     """N(a) by depth-first search over the alternating steps from a (down to
     a matched face, up its partner); the matching must be acyclic."""
     cells = set(simplices)
+    up = dict(matching.pairs)
     steps = {}
     for s in cells:
         outs = []
         if len(s) >= 2:
             for i in range(len(s)):
-                partner = matching.coface_of(s[:i] + s[i + 1 :])
+                partner = up.get(s[:i] + s[i + 1 :])
                 if partner is not None and partner != s:
                     outs.append(partner)
         steps[s] = outs
@@ -178,6 +176,7 @@ def test_bounds_match_dfs_oracle_on_fixtures():
 def modified_arrows(cells, matching):
     """Arrows of the modified Hasse digraph, by testing every pair of cells
     one apart in size for the face relation (drop one entry)."""
+    up = dict(matching.pairs)
     by_size = {}
     for s in cells:
         by_size.setdefault(len(s), []).append(s)
@@ -186,7 +185,7 @@ def modified_arrows(cells, matching):
         faces = {s[:i] + s[i + 1 :] for i in range(len(s))}
         for f in by_size.get(len(s) - 1, ()):
             if f in faces:
-                arrows.add((f, s) if matching.coface_of(f) == s else (s, f))
+                arrows.add((f, s) if up.get(f) == s else (s, f))
     return arrows
 
 
@@ -350,8 +349,8 @@ def test_gate_insert_pair():
     assert classify_sequence(gl, (2, 3)).kind == "sticky"
     m = projecting_matching(gl, 2)
     face, coface = (2, 3), (2, 0, 3)
-    assert m.coface_of(face) == coface
-    assert m.is_matched(coface) and m.coface_of(coface) is None
+    assert (face, coface) in m.pairs
+    assert m.is_matched(coface) and coface not in dict(m.pairs)
 
 
 def test_matching_pairs_preserve_length_and_endpoints():

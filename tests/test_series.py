@@ -3,21 +3,19 @@
 import random
 from fractions import Fraction
 
-from magtop import (
+from magtop.docs import load_fixture, space_from_doc
+from magtop.metric import from_distance_matrix, random_metric_space
+from magtop.series import (
     HahnPolynomial,
     euler_check,
     format_series,
-    from_distance_matrix,
-    load_fixture,
     magnitude,
     perturbative_inverse,
-    random_metric_space,
-    space_from_doc,
+    series_identity,
     weighting,
     z_inverse,
     z_matrix,
 )
-from magtop.series import series_identity
 
 F = Fraction
 
