@@ -8,6 +8,12 @@ the short chains models the magnitude homotopy type, and all homology in
 this package is computed from such pairs or from the sequence chain complex
 directly.
 
+Each side of a simplicial pair is void (no simplex at all), empty (only the
+empty simplex) or nonempty.  That state alone fixes the augmentation: the
+relative chains hold the empty simplex, in degree -1, exactly when the total
+is nonvoid and the sub void.  So a void sub gives the reduced homology of
+the total, and an empty sub its unreduced homology.
+
 Lengths in and out of this module are Fractions.  The kernels run on the
 space's integer distances, scaled once per space by their least common
 denominator: a length l with l * scale not an integer has no sequences at
@@ -188,18 +194,6 @@ class CausalPoset:
         """All nonempty chains, each sorted by (t, point)."""
         return order_chains(self.points, self.lt)
 
-    def validate(self):
-        # reflexivity / antisymmetry / transitivity on the carrier
-        for u in self.points:
-            assert self.leq(u, u)
-            for v in self.points:
-                if self.leq(u, v) and self.leq(v, u):
-                    assert u == v
-                for w in self.points:
-                    if self.leq(u, v) and self.leq(v, w):
-                        assert self.leq(u, w)
-        return True
-
     def __repr__(self):
         scale = self.space._scaled[0]
         body = ", ".join(
@@ -249,25 +243,11 @@ class SimplicialComplex:
     def void(cls):
         return cls(True, ())
 
-    @classmethod
-    def of(cls, simplices):
-        """Nonvoid complex on simplices, which must be closed under faces."""
-        return cls(False, (tuple(sorted(s)) for s in simplices))
-
     @property
     def state(self):
         if self.is_void:
             return VOID
         return EMPTY if not self._sims else NONEMPTY
-
-    def __contains__(self, simplex):
-        return tuple(sorted(simplex)) in self._sims
-
-    def __len__(self):
-        return len(self._sims)
-
-    def simplices(self):
-        return sorted(self._sims, key=lambda s: (len(s), s))
 
     def __le__(self, other):
         if self.is_void:
@@ -327,8 +307,10 @@ def order_complex_pair(space, a, b, l):
 
     total = all chains; sub = chains whose underlying sequence is shorter
     than l.  The simplices outside sub are exactly the time-stamped
-    light-like sequences.  At l = 0 the sub side is void; a void essential
-    poset gives the (void, void) pair.
+    light-like sequences.  At l = 0 no chain undercuts l, so sub is empty:
+    the quotient by an empty subcomplex is the order complex plus a disjoint
+    base point, whose reduced homology is the unreduced homology of the
+    complex.  A void essential poset gives the (void, void) pair.
     """
     l = Fraction(l)
     # the essential poset, from the stamps the relative-part check reuses
@@ -340,7 +322,7 @@ def order_complex_pair(space, a, b, l):
     pair = _chain_pair(
         poset.chains(),
         lambda c: scaled_length(space, [p for _, p in c]) < top,
-        l == 0,
+        sub_void=False,
     )
     # the relative part must be exactly the stamped light-like sequences
     if pair.total._sims - pair.sub._sims != stamped:

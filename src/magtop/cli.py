@@ -94,11 +94,17 @@ def _load_space(ref, seed):
     """Metric space from a path, fixture:<name>, or random:<n>."""
     if ref.startswith("random:"):
         tail = ref.split(":", 1)[1]
-        if not tail.isdigit() or int(tail) == 0:
+        # isdigit admits "²", and int refuses it, as it refuses numerals
+        # past the interpreter's int-string limit
+        try:
+            count = int(tail) if tail.isascii() and tail.isdigit() else 0
+        except ValueError:
+            count = 0
+        if count == 0:
             raise DocumentError(
                 "random space wants a positive point count: %r" % (ref,)
             )
-        return random_metric_space(int(tail), seed)
+        return random_metric_space(count, seed)
     return space_from_doc(_load_document(ref))
 
 

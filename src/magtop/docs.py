@@ -151,7 +151,8 @@ def load_doc(path):
         raise DocumentError("%s is not UTF-8 text: %s" % (path, exc)) from exc
     except RecursionError as exc:
         raise DocumentError("%s nests too deeply to read" % (path,)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past the int-string limit
         raise DocumentError("invalid JSON in %s: %s" % (path, exc)) from exc
 
 

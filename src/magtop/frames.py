@@ -4,9 +4,11 @@ A frame is a sequence with no smooth interior point, a tuple of point
 indices like every sequence.  Dropping a smooth point of a sequence never
 changes which frame it has, so full-length sequences split by frame; each
 frame predicts homology as a convolution of double-suspended
-open-interval factors.  The weighted Hasse-graph construction realizes
-the reduced homology of an arbitrary finite complex inside a graph's
-sequence homology.
+open-interval factors.  The factor of a step x -> y is the homology of
+inner_pair at l = d(x, y): the chains of points strictly between x and y
+on a geodesic, each at time d(x, z), with a void sub.  The weighted
+Hasse-graph construction realizes the reduced homology of an arbitrary
+finite complex inside a graph's sequence homology.
 """
 
 from __future__ import annotations
@@ -14,15 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .causal import (
-    InvalidLength,
-    SimplicialComplex,
-    SimplicialPair,
-    order_chains,
-    walks,
-)
+from .causal import InvalidLength, inner_pair, walks
 from .homology import homology, relative_chain_complex
-from .metric import MetricError, four_cuts, from_weighted_graph, open_interval
+from .metric import MetricError, four_cuts, from_weighted_graph
 
 
 class FourCutObstruction(ValueError):
@@ -70,11 +66,8 @@ def singular_sequences(space, a, b, l):
 
 def _interval_factor(space, x, y):
     """Reduced Betti of the open-interval order complex, raised two degrees."""
-    poset = open_interval(space, x, y)
-    chains = order_chains(poset.carrier, lambda u, v: u != v and poset.le(u, v))
-    pair = SimplicialPair(SimplicialComplex.of(chains), SimplicialComplex.void())
-    summary = homology(relative_chain_complex(pair, augmented=True))
-    return {k + 2: r for k, r in summary.betti_map().items()}
+    pair = inner_pair(space, x, y, space.dist[x][y])
+    return homology(relative_chain_complex(pair)).shifted(2).betti_map()
 
 
 def framed_betti_prediction(space, a, b, l):
@@ -98,13 +91,16 @@ def framed_betti_prediction(space, a, b, l):
 
 
 def thin_frames(space, l):
-    """Frames, over all ordered pairs, whose steps have empty open intervals."""
+    """Frames, over all ordered pairs, whose steps have empty open intervals:
+    no point lies strictly between a step's ends on a geodesic."""
     l = Fraction(l)
     if l < 0:
         raise InvalidLength("negative length %s" % (l,))
     n = space.n
+    d = space._scaled[1]
     thin = [
-        [y for y in range(n) if y != x and not open_interval(space, x, y).carrier]
+        [y for y in range(n) if y != x and all(
+            d[x][z] + d[z][y] > d[x][y] for z in range(n) if z not in (x, y))]
         for x in range(n)
     ]
     successors = _frame_steps(space, thin)

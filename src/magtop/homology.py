@@ -268,17 +268,15 @@ def magnitude_chain_complex(space, a, b, l):
     return face_complex(lightlike_sequences(space, a, b, l))
 
 
-def relative_chain_complex(pair, augmented=False):
+def relative_chain_complex(pair):
     """Chain complex of a simplicial pair.
 
-    Basis in degree k: the k-simplices of total outside sub.  When
-    augmented, the empty simplex sits in degree -1 exactly if total is
-    nonvoid while sub is void (otherwise the sub side already swallows it).
+    Basis in degree k: the k-simplices of total outside sub.  The empty
+    simplex sits in degree -1 exactly when total is nonvoid and sub is void;
+    a nonvoid sub holds it, and a void total has none.
     """
-    if pair.total.is_void:
-        return ChainComplex({}, {})
     cells = pair.relative_simplices()
-    if augmented and pair.sub.is_void:
+    if pair.sub.is_void and not pair.total.is_void:
         cells.append(())
     return face_complex(cells)
 
@@ -303,8 +301,7 @@ def verify_chain_iso(space, a, b, l):
     boundaries sign for sign."""
     l = Fraction(l)
     mag = magnitude_chain_complex(space, a, b, l)
-    pair = order_complex_pair(space, a, b, l)
-    rel = relative_chain_complex(pair, augmented=(l > 0))
+    rel = relative_chain_complex(order_complex_pair(space, a, b, l))
     mag_degrees = [k for k in mag.degrees() if mag.rank(k)]
     rel_degrees = [k for k in rel.degrees() if rel.rank(k)]
     if mag_degrees != rel_degrees:
@@ -332,7 +329,7 @@ def verify_suspension_shift(space, a, b, l):
     endpoint-stripped pair, including the void/empty conventions."""
     l = Fraction(l)
     lhs = homology(magnitude_chain_complex(space, a, b, l))
-    rhs = homology(relative_chain_complex(inner_pair(space, a, b, l), augmented=True))
+    rhs = homology(relative_chain_complex(inner_pair(space, a, b, l)))
     shifted = rhs.shifted(2)
     if lhs != shifted:
         return VerifyReport(

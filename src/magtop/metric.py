@@ -300,50 +300,15 @@ def four_cuts(space):
 
 
 @dataclass(frozen=True)
-class IntervalPoset:
-    """Open metric interval between a and b, ordered by betweenness: the
-    points strictly between a and b on a geodesic."""
-
-    space: MetricSpace
-    a: int
-    b: int
-    carrier: tuple
-
-    def le(self, x, y):
-        d = self.space.dist
-        return d[self.a][x] + d[x][y] + d[y][self.b] == d[self.a][self.b]
-
-    def validate(self):
-        # partial-order axioms, checked by brute force
-        for x in self.carrier:
-            assert self.le(x, x)
-            for y in self.carrier:
-                if self.le(x, y) and self.le(y, x):
-                    assert x == y
-                for z in self.carrier:
-                    if self.le(x, y) and self.le(y, z):
-                        assert self.le(x, z)
-        return True
-
-
-def open_interval(space, a, b):
-    d = space.dist
-    members = [
-        x
-        for x in range(space.n)
-        if x != a and x != b and d[a][x] + d[x][b] == d[a][b]
-    ]
-    return IntervalPoset(space, a, b, tuple(members))
-
-
-@dataclass(frozen=True)
 class GluingSpec:
     """Two spaces glued along a common subspace K.
 
     The glued point list keeps all of g first, then the h points outside
     the image of K; points of K are identified with their g copies.
     Interior-h points are classified by whether they see all of K through
-    a single gate in K (biased) or not (neutral).
+    a single gate in K (biased) or not (neutral).  side_g and side_h are
+    the points a one-sided piece of a sequence may visit: K and the
+    neutral points on both sides, plus interior g or the biased points.
     """
 
     g: MetricSpace
@@ -357,18 +322,12 @@ class GluingSpec:
     biased: frozenset
     neutral: frozenset
     gates: dict  # biased glued index -> glued index of its gate in K
+    side_g: frozenset
+    side_h: frozenset
 
     @property
     def interior_h(self):
         return self.biased | self.neutral
-
-    def side_g(self):
-        """Glued indices lying in g (interior plus K)."""
-        return self.interior_g | self.kset
-
-    def side_h(self):
-        """Glued indices lying in h (interior plus K)."""
-        return self.kset | self.biased | self.neutral
 
 
 def glue(g, h, k_in_g, k_in_h):
@@ -455,6 +414,8 @@ def glue(g, h, k_in_g, k_in_h):
         biased=frozenset(biased),
         neutral=frozenset(neutral),
         gates=gates,
+        side_g=interior_g | kset | neutral,
+        side_h=kset | biased | neutral,
     )
 
 

@@ -247,8 +247,8 @@ def classify_sequence(gspec, seq):
     sticky = _first_sticky(gspec, seq)
     if sticky is not None:
         return SequenceClass("sticky", sticky)
-    side_g = gspec.interior_g | gspec.kset | gspec.neutral
-    side_h = gspec.side_h()
+    side_g = gspec.side_g
+    side_h = gspec.side_h
     neutral = gspec.neutral
     k = len(seq)
     pieces = []
@@ -422,7 +422,7 @@ class SycamoreTwist:
         self.x = x
         self.y = y
         common = {k_in_g[alpha[t]]: k_in_g[t] for t in range(m)}
-        self.tau_h = {p: common.get(p, p) for p in x.side_h()}
+        self.tau_h = {p: common.get(p, p) for p in x.side_h}
 
     def reverse(self):
         """Twist mapping y back to x; its map composes with this one to id."""
@@ -444,11 +444,10 @@ def sycamore_tau(twist, seq):
     cls = classify_sequence(x, seq)
     if cls.kind == "sticky":
         raise ValueError("sticky sequences have no twist image")
-    side_flat_g = x.interior_g | x.kset | x.neutral
     out = []
     for start, end in cls.pieces:
         piece = seq[start : end + 1]
-        if all(p in side_flat_g for p in piece):
+        if all(p in x.side_g for p in piece):
             image = piece
         else:
             image = tuple(twist.tau_h[p] for p in piece)

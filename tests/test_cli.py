@@ -362,7 +362,13 @@ def _short_k_twist():
     return json.dumps(doc)
 
 
-# malformed documents: (argv with DOC for the document's path, its bytes,
+def _long_int_matrix():
+    # json.load refuses an integer one digit past the int-string limit
+    big = "1" * (sys.get_int_max_str_digits() + 1)
+    return ('{"type": "matrix", "labels": ["a", "b"], "dist": [[0, %s], [%s, 0]]}' % (big, big)).encode()
+
+
+# malformed inputs: (argv with DOC for the document's path, its bytes,
 # exit code, a phrase of the error line)
 MALFORMED = {
     "gluing-list-critical-cells": (["critical-cells", "DOC", "--l", "1"], b"[1, 2]", 2, "not a gluing document"),
@@ -384,6 +390,9 @@ MALFORMED = {
         3,
         "K index lists differ in length",
     ),
+    # "²" passes str.isdigit, and int refuses it
+    "random-superscript-count": (["lengths", "random:\u00b2", "--lmax", "1"], b"", 2, "positive point count"),
+    "int-past-limit": (["lengths", "DOC", "--lmax", "1"], _long_int_matrix(), 2, "invalid JSON"),
 }
 
 

@@ -2,30 +2,38 @@
 
 import itertools
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from magtop.causal import InvalidLength, achievable_lengths
+from magtop.causal import InvalidLength, achievable_lengths, order_chains
 from magtop.docs import load_fixture, space_from_doc
 from magtop.frames import (
     EmptyComplex,
     FourCutObstruction,
+    _interval_factor,
     framed_betti_prediction,
     hasse_graph,
     singular_sequences,
     thin_frames,
 )
-from magtop.homology import homology, magnitude_chain_complex
+from magtop.homology import face_complex, homology, magnitude_chain_complex
 from magtop.metric import (
     INFINITE,
     MetricError,
     MetricSpace,
     four_cuts,
     is_smooth,
-    open_interval,
     random_metric_space,
     seq_length,
 )
+
+
+# the 6-vertex, 10-triangle RP^2, whose reduced homology is Z/2 in degree 1
+RP2 = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+]
 
 
 def space(labels, rows):
@@ -72,6 +80,69 @@ def frame_of(space_, seq):
         for k, x in enumerate(seq)
         if k == 0 or k == len(seq) - 1 or not is_smooth(space_, seq, k)
     )
+
+
+def open_interval(space_, a, b):
+    """The points strictly between a and b on a geodesic."""
+    d = space_.dist
+    return [
+        x for x in range(space_.n)
+        if x != a and x != b and d[a][x] + d[x][b] == d[a][b]
+    ]
+
+
+def interval_factor_oracle(space_, x, y):
+    """The step factor as the open interval (x, y) under betweenness: the
+    reduced Betti numbers of its order complex, raised two degrees."""
+    d = space_.dist
+
+    def lt(u, v):
+        return u != v and d[x][u] + d[u][v] + d[v][y] == d[x][y]
+
+    # the empty simplex augments the complex, so its homology is reduced
+    cells = order_chains(open_interval(space_, x, y), lt) + [()]
+    summary = homology(face_complex(cells))
+    return {k + 2: r for k, r in summary.betti_map().items()}
+
+
+def fixture_spaces():
+    out = []
+    for path in sorted(resources.files("magtop").joinpath("fixtures").iterdir()):
+        doc = load_fixture(path.name[: -len(".json")])
+        if doc["type"] in ("matrix", "graph"):
+            out.append(space_from_doc(doc))
+    return out
+
+
+def test_interval_factor_matches_open_interval_oracle():
+    spaces = fixture_spaces() + [
+        random_metric_space(n, seed, den_max)
+        for den_max in (1, 6)
+        for n in (4, 5, 6)
+        for seed in range(8)
+    ]
+    for x in spaces:
+        for a in range(x.n):
+            for b in range(x.n):
+                if a != b:
+                    assert _interval_factor(x, a, b) == interval_factor_oracle(x, a, b)
+
+
+def test_interval_factor_on_rp2_hasse_graph():
+    # the whole face poset lies between 0hat and 1hat: the step factor is
+    # the reduced homology of RP^2, Z/2 in degree 1, so no Betti number
+    hg = hasse_graph(RP2)
+    x = hg.space
+    zero, one = x.index(hg.zero), x.index(hg.one)
+    assert _interval_factor(x, zero, one) == {}
+    factors = set()
+    for a in range(x.n):
+        for b in range(x.n):
+            if a != b:
+                factor = _interval_factor(x, a, b)
+                assert factor == interval_factor_oracle(x, a, b), (a, b)
+                factors.add(tuple(factor.items()))
+    assert factors == {(), ((1, 1),), ((2, 1),), ((3, 1),)}
 
 
 def test_frame_of_drops_smooth_interior():
@@ -132,8 +203,7 @@ def test_frames_match_brute_force_on_random_spaces():
                 frames = [s for s in seqs if frame_of(x, s) == s]
                 thin = [
                     s for s in frames
-                    if all(not open_interval(x, p, q).carrier
-                           for p, q in zip(s, s[1:]))
+                    if all(not open_interval(x, p, q) for p, q in zip(s, s[1:]))
                 ]
                 got = sorted(thin_frames(x, l))
                 assert got == thin, (den_max, seed, l)
@@ -196,6 +266,20 @@ def test_thin_frames_on_weighted_path():
     assert degree_hist(x, 1) == {2: 2}
     assert degree_hist(x, Fraction(3, 2)) == {2: 2, 3: 2}
     assert degree_hist(x, Fraction(5, 4)) == {}
+
+
+def test_thin_frames_skip_steps_with_interval_points():
+    # on the 4-cycle a-b-c-d, adjacent points have an empty open interval
+    # and opposite ones the two points between them, (b, d) for (a, c)
+    x = c4()
+    assert open_interval(x, 0, 1) == []
+    assert open_interval(x, 0, 2) == [1, 3]
+    # a-c is a frame of length 2 but not thin; a-b-c is smooth at b, so
+    # every thin frame of length 2 steps to a neighbour and back
+    assert (0, 2) in singular_sequences(x, 0, 2, 2)
+    assert sorted(thin_frames(x, 2)) == sorted(
+        (p, q, p) for p in range(4) for q in range(4) if (p - q) % 2 == 1
+    )
 
 
 def test_four_cut_obstruction_on_cycle():
@@ -275,16 +359,11 @@ def test_hasse_input_validation():
 
 
 def test_hasse_realizes_reduced_homology():
-    # the 6-vertex, 10-triangle RP^2, whose reduced homology is Z/2 in degree 1
-    rp2 = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
-        (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
-    ]
     cases = [
         ([("a", "b"), ("b", "c"), ("a", "c")], ((3, 1),), ()),
         ([("a",)], (), ()),
         ([("a",), ("b",)], ((2, 1),), ()),
-        (rp2, (), ((3, (2,)),)),
+        (RP2, (), ((3, (2,)),)),
     ]
     for facets, betti, torsion in cases:
         hg = hasse_graph(facets)

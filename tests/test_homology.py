@@ -31,6 +31,7 @@ from magtop.homology import (
     verify_suspension_shift,
 )
 from magtop.metric import from_weighted_graph, random_metric_space, seq_length
+from simplicial import complex_of
 
 F = Fraction
 
@@ -130,36 +131,41 @@ def test_homology_summary_algebra():
 
 def test_circle_complex_has_expected_homology():
     # triangle boundary: one loop
-    cpx = SimplicialComplex.of(
+    cpx = complex_of(
         [("a",), ("b",), ("c",), ("a", "b"), ("b", "c"), ("a", "c")]
     )
-    pair = SimplicialPair(cpx, SimplicialComplex.void())
+    # an empty sub gives the unreduced homology
+    pair = SimplicialPair(cpx, complex_of([]))
     summary = homology(relative_chain_complex(pair))
     assert summary.betti_map() == {0: 1, 1: 1}
     assert summary.torsion == ()
+    # a void sub gives the reduced homology
+    pair = SimplicialPair(cpx, SimplicialComplex.void())
+    assert homology(relative_chain_complex(pair)).betti_map() == {1: 1}
 
 
 def test_relative_complex_augmentation_cases():
+    # the pair's states alone decide whether the empty simplex is a cell
     void = SimplicialComplex.void()
-    empty = SimplicialComplex.of([])
-    point = SimplicialComplex.of([("x",)])
-    # nothing at all
-    assert homology(relative_chain_complex(SimplicialPair(void, void))) == HomologySummary()
+    empty = complex_of([])
+    point = complex_of([("x",)])
+    # nothing at all: a void total has no cells, not even the empty one
+    cc = relative_chain_complex(SimplicialPair(void, void))
+    assert cc.basis == {} and homology(cc) == HomologySummary()
     # the empty simplex alone carries one class in degree -1
-    s = homology(
-        relative_chain_complex(SimplicialPair(empty, void), augmented=True)
-    )
-    assert s.betti == ((-1, 1),)
-    # a point with augmentation is acyclic
-    s = homology(
-        relative_chain_complex(SimplicialPair(point, void), augmented=True)
-    )
+    cc = relative_chain_complex(SimplicialPair(empty, void))
+    assert cc.basis == {-1: [()]}
+    assert homology(cc).betti == ((-1, 1),)
+    # a point over a void sub is augmented, and so acyclic
+    s = homology(relative_chain_complex(SimplicialPair(point, void)))
     assert s == HomologySummary()
     # an empty subcomplex swallows the empty simplex
-    s = homology(
-        relative_chain_complex(SimplicialPair(point, empty), augmented=True)
-    )
-    assert s.betti == ((0, 1),)
+    cc = relative_chain_complex(SimplicialPair(point, empty))
+    assert cc.basis == {0: [("x",)]}
+    assert homology(cc).betti == ((0, 1),)
+    # so does a nonempty one, and an empty pair has no cells
+    assert relative_chain_complex(SimplicialPair(point, point)).basis == {}
+    assert relative_chain_complex(SimplicialPair(empty, empty)).basis == {}
 
 
 def test_magnitude_chain_complex_boundary_drops_interior():
@@ -270,8 +276,8 @@ def test_chain_iso_reports_a_negated_generator(monkeypatch):
     homology_module = importlib.import_module("magtop.homology")
     original = homology_module.relative_chain_complex
 
-    def negated(pair, augmented=False):
-        cc = original(pair, augmented)
+    def negated(pair):
+        cc = original(pair)
         k = max(cc.degrees())
         g = next(c for c, col in enumerate(cc.boundary[k]) if col)
         boundary = {d: [dict(col) for col in cols] for d, cols in cc.boundary.items()}
@@ -316,7 +322,12 @@ def test_suspension_worked_contrast_at_length_two():
 def test_two_point_shift_from_empty_interval():
     # adjacent pair at l = d: group Z in degree 1 from the degree -1 class
     two = fixture_space("two_point")
-    rel = relative_chain_complex(inner_pair(two, 0, 1, F(1)), augmented=True)
+    # the interval is empty and nothing is short, so (empty, void): the
+    # pair itself adds the empty simplex
+    pair = inner_pair(two, 0, 1, F(1))
+    assert (pair.total.state, pair.sub.state) == ("empty", "void")
+    rel = relative_chain_complex(pair)
+    assert rel.basis == {-1: [()]}
     s = homology(rel)
     assert s.betti == ((-1, 1),)
     assert homology(magnitude_chain_complex(two, 0, 1, F(1))).betti == ((1, 1),)

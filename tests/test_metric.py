@@ -1,4 +1,4 @@
-"""Distance matrices, graph metrics, products, gluings, and intervals."""
+"""Distance matrices, graph metrics, products and gluings."""
 
 from fractions import Fraction
 
@@ -20,7 +20,6 @@ from magtop.metric import (
     from_weighted_graph,
     glue,
     is_smooth,
-    open_interval,
     product,
     random_metric_space,
     restriction,
@@ -182,22 +181,6 @@ def test_four_cuts_on_cycle_and_trees():
     assert four_cuts(unit_complete(4)) == ([], INFINITE)
 
 
-def test_interval_poset_laws():
-    path = from_weighted_graph(
-        ("a", "b", "c", "d"), [("a", "b", 1), ("b", "c", 1), ("c", "d", 1)]
-    )
-    inner = open_interval(path, 0, 3)
-    assert inner.carrier == (1, 2)
-    assert inner.validate()
-    # off-geodesic points stay out
-    c4 = from_weighted_graph(
-        ("a", "b", "c", "d"),
-        [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1)],
-    )
-    assert open_interval(c4, 0, 1).carrier == ()
-    assert open_interval(c4, 0, 2).carrier == (1, 3)
-
-
 def test_glue_classifies_interior_points():
     # triangle glued to a (1,1,2) triangle along the unit edge: apex gated
     g = from_weighted_graph(
@@ -215,7 +198,9 @@ def test_glue_classifies_interior_points():
     # glued distances route through K
     u = gl.space.index("u")
     assert gl.space.dist[u][v] == 2  # u-p-v
-    assert gl.side_g() | gl.interior_h == frozenset(range(gl.space.n))
+    assert gl.side_g | gl.interior_h == frozenset(range(gl.space.n))
+    # no neutral point here, so the sides meet in K alone
+    assert gl.side_g & gl.side_h == gl.kset
 
 
 def test_glue_unit_triangles_has_neutral_point():
@@ -229,6 +214,9 @@ def test_glue_unit_triangles_has_neutral_point():
     v = gl.space.index("v")
     assert gl.neutral == frozenset({v})
     assert gl.biased == frozenset()
+    # a neutral point lies on both sides, with K
+    assert gl.side_g == frozenset(range(gl.space.n))
+    assert gl.side_h == gl.kset | {v}
 
 
 def test_glue_rejections():

@@ -315,7 +315,7 @@ def brute_sticky(gspec, seq):
 def test_classification_matches_brute_force():
     gl = sycamore_gluing()
     side_g = gl.interior_g | gl.kset | gl.neutral
-    side_h = gl.side_h()
+    side_h = gl.side_h
     counts = {"sticky": 0, "flat": 0, "twistable": 0}
     for k in (1, 2, 3):
         for seq in product(range(gl.space.n), repeat=k):
@@ -448,7 +448,7 @@ def test_all_biased_gluing_twist():
         (Fraction(2), 2, 16, 16, True),
     )
     side_g = tw.x.interior_g | tw.x.kset
-    side_h = tw.x.side_h()
+    side_h = tw.x.side_h
     for l in (1, 2):
         for s in critical_cells(tw.x, l):
             one_sided = all(p in side_g for p in s) or all(p in side_h for p in s)
