@@ -256,16 +256,6 @@ class SimplicialComplex:
             return False
         return self._sims <= other._sims
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.is_void == other.is_void
-            and self._sims == other._sims
-        )
-
-    def __hash__(self):
-        return hash((self.is_void, self._sims))
-
     def __repr__(self):
         return "SimplicialComplex(%s, %d simplices)" % (self.state, len(self._sims))
 

@@ -4,9 +4,9 @@ A frame is a sequence with no smooth interior point, a tuple of point
 indices like every sequence.  Dropping a smooth point of a sequence never
 changes which frame it has, so full-length sequences split by frame; each
 frame predicts homology as a convolution of double-suspended
-open-interval factors.  The factor of a step x -> y is the homology of
-inner_pair at l = d(x, y): the chains of points strictly between x and y
-on a geodesic, each at time d(x, z), with a void sub.  The weighted
+open-interval factors.  The factor of a step x -> y is the reduced
+homology of the open interval (x, y): the order complex of the points z
+strictly between x and y on a geodesic, each at time d(x, z).  The weighted
 Hasse-graph construction realizes the reduced homology of an arbitrary
 finite complex inside a graph's sequence homology.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .causal import InvalidLength, inner_pair, walks
+from .causal import CausalPoset, InvalidLength, SimplicialComplex, SimplicialPair, walks
 from .homology import homology, relative_chain_complex
 from .metric import MetricError, four_cuts, from_weighted_graph
 
@@ -27,14 +27,6 @@ class FourCutObstruction(ValueError):
 
 class EmptyComplex(ValueError):
     pass
-
-
-def _four_cut_guard(space, l):
-    _, m_x = four_cuts(space)
-    if l >= m_x:
-        raise FourCutObstruction(
-            "length %s reaches the obstruction threshold %s" % (l, m_x)
-        )
 
 
 def _frame_steps(space, steps):
@@ -58,15 +50,27 @@ def singular_sequences(space, a, b, l):
     l = Fraction(l)
     if l < 0:
         raise InvalidLength("negative length %s" % (l,))
-    _four_cut_guard(space, l)
+    m_x = four_cuts(space)[1]
+    if l >= m_x:
+        raise FourCutObstruction(
+            "length %s reaches the obstruction threshold %s" % (l, m_x)
+        )
     n = space.n
     steps = [[y for y in range(n) if y != x] for x in range(n)]
     return walks(space, a, l, b, _frame_steps(space, steps))
 
 
+def _between(space, x, y):
+    """(scaled d(x, z), z) for each z strictly between x and y on a geodesic."""
+    d = space._scaled[1]
+    return [(d[x][z], z) for z in range(space.n)
+            if z not in (x, y) and d[x][z] + d[z][y] == d[x][y]]
+
+
 def _interval_factor(space, x, y):
     """Reduced Betti of the open-interval order complex, raised two degrees."""
-    pair = inner_pair(space, x, y, space.dist[x][y])
+    chains = CausalPoset(space, _between(space, x, y)).chains()
+    pair = SimplicialPair(SimplicialComplex(False, chains), SimplicialComplex.void())
     return homology(relative_chain_complex(pair)).shifted(2).betti_map()
 
 
@@ -97,12 +101,8 @@ def thin_frames(space, l):
     if l < 0:
         raise InvalidLength("negative length %s" % (l,))
     n = space.n
-    d = space._scaled[1]
-    thin = [
-        [y for y in range(n) if y != x and all(
-            d[x][z] + d[z][y] > d[x][y] for z in range(n) if z not in (x, y))]
-        for x in range(n)
-    ]
+    thin = [[y for y in range(n) if y != x and not _between(space, x, y)]
+            for x in range(n)]
     successors = _frame_steps(space, thin)
     return [s for a in range(n) for s in walks(space, a, l, successors=successors)]
 

@@ -1,20 +1,25 @@
 """Truncated generalized power series in q with rational exponents.
 
 A series is a finite map {exponent: coefficient} with both sides exact
-rationals, truncated above a cutoff.  The similarity-matrix inverse is
-computed as a geometric sum of (I - Z) powers, which terminates because
-every off-diagonal entry of (I - Z) has valuation at least the minimal
-positive distance.
+rationals, truncated above a cutoff.  The similarity matrix is Z = I + N,
+where every entry of N has valuation at least the least positive
+distance, so X = Z^-1 is solved one exponent at a time by forward
+substitution on the space's scaled integer distances: every coefficient
+is an integer, and each entry becomes a series once, at the end.
+euler_check certifies that inverse, Z X = I at the truncation, before
+comparing it with homology.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .causal import lightlike_sequences, pair_achievable_lengths
 from .homology import homology, magnitude_chain_complex
+from .metric import InternalFault
 
 
 def _min_trunc(a, b):
@@ -186,27 +191,46 @@ def z_matrix(space, truncation=None):
 def z_inverse(space, lmax):
     """Inverse of the similarity matrix modulo q^(>lmax).
 
-    Summing (I - Z)^k up to k = ceil(lmax / r0) is exact at this
-    truncation, where r0 is the minimal positive distance.
+    Row r of Z X = I reads X[r][c] = [r = c] - sum over p != r of
+    q^D[r][p] X[p][c].  So column c is pushed over (point, scaled exponent)
+    states in ascending exponent: (c, 0) starts at 1, and a state (p, e)
+    with count v adds -v to (r, e + D[p][r]) for every r != p, up to
+    floor(lmax * scale).
     """
     lmax = Fraction(lmax)
     n = space.n
-    ident = series_identity(n, lmax)
-    r0 = space.min_positive_distance()
-    cutoff = 0 if r0 is None else math.ceil(lmax / r0)
-    nil = ident + SeriesMatrix(
+    scale, d = space._scaled
+    top = math.floor(lmax * scale)
+    steps = [sorted((d[p][r], r) for r in range(n) if r != p) for p in range(n)]
+    cols = []
+    for c in range(n):
+        col = [{} for _ in range(n)]  # point -> {scaled exponent: count}
+        pending = {0: {c: 1}}  # past a negative top; the truncation drops it
+        order = [0]
+        while order:
+            e = heapq.heappop(order)
+            for p, v in pending.pop(e).items():
+                if not v:
+                    continue
+                col[p][e] = v
+                for step, r in steps[p]:
+                    f = e + step
+                    if f > top:
+                        break
+                    states = pending.get(f)
+                    if states is None:
+                        states = pending[f] = {}
+                        heapq.heappush(order, f)
+                    states[r] = states.get(r, 0) - v
+        cols.append(col)
+    rows = tuple(
         tuple(
-            tuple(-z for z in row)
-            for row in z_matrix(space, lmax).entries
-        ),
-        lmax,
+            HahnPolynomial({Fraction(e, scale): v for e, v in cols[j][i].items()}, lmax)
+            for j in range(n)
+        )
+        for i in range(n)
     )
-    acc = ident
-    power = ident
-    for _ in range(cutoff):
-        power = power * nil
-        acc = acc + power
-    return acc
+    return SeriesMatrix(rows, lmax)
 
 
 def perturbative_inverse(space, a, b, lmax):
@@ -258,10 +282,13 @@ def euler_check(space, lmax):
     entry united with the achievable lengths), the coefficient of q^l in
     the inverse must equal the alternating sum of Betti numbers of the
     length-l homology for that pair; weightings and magnitude aggregate
-    accordingly.
+    accordingly.  The inverse is certified first: unless Z times it is the
+    identity at the truncation, this raises InternalFault.
     """
     lmax = Fraction(lmax)
     inv = z_inverse(space, lmax)
+    if z_matrix(space, lmax) * inv != series_identity(space.n, lmax):
+        raise InternalFault("z_inverse is not the inverse of Z at q^%s" % (lmax,))
     checked = 0
     mismatches = []
     for a in range(space.n):

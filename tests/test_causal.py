@@ -231,7 +231,7 @@ def test_simplicial_complex_tri_state():
     assert void.state == "void"
     assert empty.state == "empty"
     assert one.state == "nonempty"
-    assert void != empty
+    assert void.state != empty.state
     assert void <= empty <= one
     assert not (one <= empty)
     assert simplices(one) == [("x",)]

@@ -494,8 +494,9 @@ def test_exit_mismatch_on_failing_check(capsys, monkeypatch):
 # the critical cells differ from the sticky-free ones, with every point
 # smooth a full-length face escapes the interior of the attached side,
 # with no chain short the relative chains outnumber the stamped sequences,
-# and with every chain short a plain assert fails (under -O the
-# relative-part check still catches it)
+# with every chain short a plain assert fails (under -O the relative-part
+# check still catches it), and with the identity for Z^-1 the euler
+# certificate Z X = I fails
 FAULTS = [
     (
         ["critical-cells", "fixture:mv_triangles", "--l", "1"],
@@ -521,9 +522,16 @@ FAULTS = [
         "scaled_length",
         "lambda *args: -1",
     ),
+    (
+        ["verify", "euler", "fixture:k3", "--lmax", "2"],
+        "magtop.series",
+        "z_inverse",
+        "lambda space, lmax: series_identity(space.n, lmax)",
+    ),
 ]
 FAULT_IDS = [
-    "critical-cells", "verify-union", "verify-chain-iso", "verify-chain-iso-assert"
+    "critical-cells", "verify-union", "verify-chain-iso", "verify-chain-iso-assert",
+    "verify-euler",
 ]
 
 

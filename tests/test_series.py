@@ -1,12 +1,15 @@
 """Truncated q-series arithmetic, inverses, and the counting identities."""
 
+import math
 import random
 from fractions import Fraction
 
+from magtop.causal import achievable_lengths
 from magtop.docs import load_fixture, space_from_doc
 from magtop.metric import from_distance_matrix, random_metric_space
 from magtop.series import (
     HahnPolynomial,
+    SeriesMatrix,
     euler_check,
     format_series,
     magnitude,
@@ -22,6 +25,32 @@ F = Fraction
 
 def fixture_space(name):
     return space_from_doc(load_fixture(name))
+
+
+def power_sum_inverse(space, lmax):
+    """Inverse of the similarity matrix modulo q^(>lmax).
+
+    Summing (I - Z)^k up to k = ceil(lmax / r0) is exact at this
+    truncation, where r0 is the minimal positive distance.
+    """
+    lmax = Fraction(lmax)
+    n = space.n
+    ident = series_identity(n, lmax)
+    r0 = space.min_positive_distance()
+    cutoff = 0 if r0 is None else math.ceil(lmax / r0)
+    nil = ident + SeriesMatrix(
+        tuple(
+            tuple(-z for z in row)
+            for row in z_matrix(space, lmax).entries
+        ),
+        lmax,
+    )
+    acc = ident
+    power = ident
+    for _ in range(cutoff):
+        power = power * nil
+        acc = acc + power
+    return acc
 
 
 def random_poly(rng, trunc):
@@ -105,6 +134,32 @@ def test_z_inverse_times_z_is_identity():
         for i in range(sp.n):
             for j in range(sp.n):
                 assert prod.entry(i, j) == ident.entry(i, j), (seed, i, j)
+
+
+def test_z_inverse_matches_power_sum_oracle():
+    # forward substitution against the power sum: same terms, same truncation
+    lmaxes = (F(-1), F(0), F(1, 7), F(1), F(5, 2), F(3), F(4))
+    spaces = [
+        random_metric_space(n, seed, den)
+        for n in range(1, 8)
+        for seed in range(5)
+        for den in (1, 6, 997)
+    ]
+    single = from_distance_matrix(("a",), [[0]])
+    # a scale past 10**5: a dense list would need lmax * scale slots per state
+    big = from_distance_matrix(
+        ("a", "b", "c"),
+        [[0, 1, F(100004, 100003)], [1, 0, F(3, 2)], [F(100004, 100003), F(3, 2), 0]],
+    )
+    assert big._scaled[0] >= 10**5
+    for sp in spaces + [single, big]:
+        for lmax in lmaxes:
+            got = z_inverse(sp, lmax)
+            assert got == power_sum_inverse(sp, lmax), (sp, lmax)
+    # the states are the achievable (point, length) pairs, not the slots
+    inv = z_inverse(big, F(4))
+    terms = sum(len(inv.entry(i, j).terms) for i in range(3) for j in range(3))
+    assert terms <= 9 * len(achievable_lengths(big, F(4))) < 4 * big._scaled[0]
 
 
 def test_inverse_routes_agree():
