@@ -21,6 +21,16 @@ all.  Chains carry scaled integer times: a vertex of a causal poset or an
 order complex is a pair (t, point) with t the time times the scale, so the
 posets and complexes compare and hash ints.  seq_time_stamps is the one
 Fraction view of those times.
+
+walks, the one sequence kernel, does not recurse.  For an endpoint b it
+keeps a step table on the space, built the first time b is enumerated: for
+each point x the triples (need, y, step), y != x, in ascending need, where
+step is the scaled d(x, y) and need = step + the scaled d(y, b) (need =
+step when b is None).  The partial sequences grow one level at a time, and
+each stops scanning its table at the first need above the length it has
+left, so its cost follows its live extensions, not the number of points.
+Steps are positive, so no output is a proper prefix of another, and one
+sort of the output gives the depth-first lexicographic order.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .metric import InternalFault, scaled_length
+from .metric import InternalFault, scaled_length, scaled_target
 
 
 class InvalidLength(ValueError):
@@ -43,45 +53,55 @@ class CausalPoint(NamedTuple):
     point: int
 
 
+def _step_table(space, b):
+    """The step table toward b (see the module docstring), built on first
+    use and kept on the space."""
+    table = space._steps.get(b)
+    if table is None:
+        d = space._scaled[1]
+        to_end = d[b] if b is not None else [0] * space.n  # d is symmetric
+        table = space._steps[b] = tuple(
+            tuple(sorted((step + to_end[y], y, step) for y, step in enumerate(row) if y != x))
+            for x, row in enumerate(d)
+        )
+    return table
+
+
 def walks(space, a, l, b=None, successors=None):
     """All sequences from a whose steps sum to exactly l, lexicographic.
 
-    A sequence ends at b, or at any point when b is None.  successors(seq)
-    lists, in increasing order, the points that may follow the partial
-    sequence seq; by default that is every point other than its last.
+    A sequence ends at b, or at any point when b is None.  successors(seq,
+    steps) filters steps, the (need, y, step) triples out of seq's last
+    point in ascending need, to those whose y may follow the partial
+    sequence seq, keeping their order; by default every point other than
+    the last may.
     """
-    scale, d = space._scaled
-    l = Fraction(l) * scale
-    if l.denominator != 1:
+    d = space._scaled[1]
+    top = scaled_target(space, l)
+    if top is None or top < (0 if b is None else d[a][b]):
         return []
-    l = l.numerator
-    n = space.n
-    if successors is None:
-        others = [[y for y in range(n) if y != x] for x in range(n)]
-
-        def successors(seq):
-            return others[seq[-1]]
-
-    # least length still needed after reaching y; a step is taken only if
-    # it leaves at least that much, so rem reaches 0 only at b
-    to_end = [0 if b is None else d[y][b] for y in range(n)]
+    if top == 0:
+        return [(a,)]
+    table = _step_table(space, b)
     out = []
-    seq = [a]
-
-    def extend(x, rem):
-        if rem == 0:
-            out.append(tuple(seq))
-            return
-        for y in successors(seq):
-            step = d[x][y]
-            if step > rem or to_end[y] > rem - step:
-                continue
-            seq.append(y)
-            extend(y, rem - step)
-            seq.pop()
-
-    if to_end[a] <= l:
-        extend(a, l)
+    # breadth first: every partial sequence still needs rem > 0, and a step
+    # is taken only if it leaves at least the distance on to b
+    level = [((a,), top)]
+    while level:
+        deeper = []
+        for seq, rem in level:
+            steps = table[seq[-1]]
+            if successors is not None:
+                steps = successors(seq, steps)
+            for need, y, step in steps:
+                if need > rem:
+                    break
+                if step == rem:
+                    out.append(seq + (y,))
+                else:
+                    deeper.append((seq + (y,), rem - step))
+        level = deeper
+    out.sort()  # the depth-first order, as no output prefixes another
     return out
 
 
@@ -308,7 +328,7 @@ def order_complex_pair(space, a, b, l):
     poset = CausalPoset(space, set().union(*stamped))
     if not poset.points:
         return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
-    top = int(l * space._scaled[0])  # exact, as sequences of length l exist
+    top = scaled_target(space, l)  # an int, as sequences of length l exist
     pair = _chain_pair(
         poset.chains(),
         lambda c: scaled_length(space, [p for _, p in c]) < top,
@@ -335,7 +355,7 @@ def inner_pair(space, a, b, l):
     if d_ab > l:
         return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
     poset = essential_poset(space, a, b, l)
-    top = int(l * space._scaled[0])  # exact whenever the poset has points
+    top = scaled_target(space, l)  # an int whenever the poset has points
     ends = {(0, a), (top, b)}
     mid = [p for p in poset.points if p not in ends]
     mid_poset = CausalPoset(space, mid)

@@ -29,17 +29,18 @@ class EmptyComplex(ValueError):
     pass
 
 
-def _frame_steps(space, steps):
-    """Successor rule of frames: steps[x] lists the allowed steps out of x,
-    and a step that would leave x smooth is refused."""
+def _frame_steps(space, allowed):
+    """Successor rule of frames: allowed[x] is the set of points that may
+    follow x, and a step that would leave x smooth is refused."""
     d = space._scaled[1]
 
-    def successors(seq):
-        x = seq[-1]
+    def successors(seq, steps):
+        ok = allowed[seq[-1]]
         if len(seq) == 1:
-            return steps[x]
-        w = seq[-2]
-        return [y for y in steps[x] if d[w][x] + d[x][y] != d[w][y]]
+            return (e for e in steps if e[1] in ok)
+        dw = d[seq[-2]]
+        via = dw[seq[-1]]
+        return (e for e in steps if e[1] in ok and via + e[2] != dw[e[1]])
 
     return successors
 
@@ -56,8 +57,8 @@ def singular_sequences(space, a, b, l):
             "length %s reaches the obstruction threshold %s" % (l, m_x)
         )
     n = space.n
-    steps = [[y for y in range(n) if y != x] for x in range(n)]
-    return walks(space, a, l, b, _frame_steps(space, steps))
+    others = [set(range(n)) - {x} for x in range(n)]
+    return walks(space, a, l, b, _frame_steps(space, others))
 
 
 def _between(space, x, y):
@@ -101,7 +102,7 @@ def thin_frames(space, l):
     if l < 0:
         raise InvalidLength("negative length %s" % (l,))
     n = space.n
-    thin = [[y for y in range(n) if y != x and not _between(space, x, y)]
+    thin = [{y for y in range(n) if y != x and not _between(space, x, y)}
             for x in range(n)]
     successors = _frame_steps(space, thin)
     return [s for a in range(n) for s in walks(space, a, l, successors=successors)]

@@ -91,8 +91,9 @@ def _scale_matrix(matrix):
 class MetricSpace:
     """Finite point set with an exact rational distance matrix.
 
-    _scaled caches (scale, integer matrix) for the kernels; it takes no part
-    in equality, hashing or repr.
+    _scaled caches (scale, integer matrix) for the kernels, and _steps the
+    step tables causal.walks builds per endpoint on first use; neither takes
+    part in equality, hashing or repr.
     """
 
     labels: tuple
@@ -130,6 +131,7 @@ class MetricSpace:
                     if row_i[k] > d_ij + row_j[k]:
                         raise TriangleViolation(self.labels, i, j, k)
         object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_steps", {})
 
     @property
     def n(self):
@@ -247,6 +249,17 @@ def scaled_length(space, seq):
     """Length of a point-index sequence times the space's scale, an int."""
     d = space._scaled[1]
     return sum(d[x][y] for x, y in zip(seq, seq[1:]))
+
+
+def scaled_target(space, l):
+    """A length l times the space's scale, an int; None when that is not an
+    integer, as no sequence of the space then has length l."""
+    if not isinstance(l, (int, Fraction)):
+        l = Fraction(l)
+    scale = space._scaled[0]
+    if scale % l.denominator:
+        return None
+    return l.numerator * (scale // l.denominator)
 
 
 def seq_length(space, seq):

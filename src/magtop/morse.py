@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .causal import achievable_lengths, lightlike_sequences
 from .homology import VerifyReport
-from .metric import InternalFault, glue, seq_length
+from .metric import InternalFault, glue, scaled_length, scaled_target
 from .series import format_series, magnitude
 
 
@@ -285,10 +285,9 @@ def classify_sequence(gspec, seq):
     return SequenceClass(kind, None, tuple(pieces), tuple(cuts))
 
 
-def _partner_sequence(gspec, seq):
-    """Partner of a sticky sequence: (face seq, coface seq) under gate moves."""
-    sticky = _first_sticky(gspec, seq)
-    assert sticky is not None, "only sticky sequences have partners"
+def _partner_sequence(gspec, seq, sticky):
+    """Partner of a sticky sequence: (face seq, coface seq) under gate moves,
+    with sticky its first sticky run (i, j) from _first_sticky."""
     i, j = sticky
     if seq[i] in gspec.biased:
         e, inner = i, i + 1
@@ -325,19 +324,22 @@ def projecting_matching(gspec, l):
     """
     space = gspec.space
     l = Fraction(l)
+    top = scaled_target(space, l)
     pairs = {}
     for a in range(space.n):
         for b in range(space.n):
             for seq in lightlike_sequences(space, a, b, l):
-                if _first_sticky(gspec, seq) is None:
+                sticky = _first_sticky(gspec, seq)
+                if sticky is None:
                     continue
-                face, coface = _partner_sequence(gspec, seq)
+                face, coface = _partner_sequence(gspec, seq, sticky)
                 other = face if seq == coface else coface
-                if seq_length(space, other) != l:
+                if scaled_length(space, other) != top:
                     raise NotAMatching("gate move changed length")
                 if any(other[t] == other[t + 1] for t in range(len(other) - 1)):
                     raise NotAMatching("gate move produced a repeated point")
-                if _partner_sequence(gspec, other) != (face, coface):
+                back = _first_sticky(gspec, other)
+                if back is None or _partner_sequence(gspec, other, back) != (face, coface):
                     raise NotAMatching("gate pairing is not involutive")
                 if pairs.setdefault(face, coface) != coface:
                     raise NotAMatching("conflicting partners")
@@ -483,6 +485,7 @@ def verify_sycamore(twist, lmax):
     )
     rev = twist.reverse()
     for l in lengths:
+        top_y = scaled_target(y, l)
         crit_x = _by_dim(critical_cells(twist.x, l))
         crit_y = _by_dim(critical_cells(twist.y, l))
         images = {}
@@ -491,7 +494,7 @@ def verify_sycamore(twist, lmax):
             stretched = unreversed = 0
             for seq in cells:
                 img = sycamore_tau(twist, seq)
-                if seq_length(y, img) != l:
+                if scaled_length(y, img) != top_y:
                     stretched += 1
                 elif sycamore_tau(rev, img) != seq:
                     unreversed += 1

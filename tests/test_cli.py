@@ -110,6 +110,25 @@ def test_homology_pair_selection(capsys):
     assert body == ["a b 2 1 -"]
 
 
+def test_homology_of_a_deep_sequence(capsys, tmp_path):
+    # the one a -> a sequence of length 2 over steps of 1/1000 has 2001
+    # points, far past the interpreter's recursion limit
+    doc = {"type": "matrix", "labels": ["a", "b"],
+           "dist": [["0", "1/1000"], ["1/1000", "0"]]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(
+        capsys, ["homology", str(path), "--l", "2", "--from", "a", "--to", "a"]
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "# homology at length 2",
+        "# from to k betti torsion",
+        "a a 2000 1 -",
+        "* * 2000 1 -",
+    ]
+
+
 def test_lengths(capsys):
     code, out, _ = run(capsys, ["lengths", "fixture:two_point", "--lmax", "3"])
     assert code == 0

@@ -471,6 +471,21 @@ def test_reverse_twist_round_trip():
     assert verify_sycamore(tw, 1)
 
 
+def test_stretched_twist_images_fail(monkeypatch):
+    # revisiting the last-but-one point lengthens every image of a step
+    full = morse.sycamore_tau
+
+    def stretched(twist, seq):
+        img = full(twist, seq)
+        return img + img[-2:-1]
+
+    monkeypatch.setattr(morse, "sycamore_tau", stretched)
+    rep = verify_sycamore(twist_from_doc(load_fixture("sycamore_twist")), 1)
+    assert not rep
+    assert rep.detail.startswith("length 1 dim 1: ")
+    assert "twist images change length" in rep.detail
+
+
 DROP_CRITICAL_EDGE = """
 def dropped(space, l):
     cells = full(space, l)
@@ -547,14 +562,14 @@ def test_critical_cell_mismatch_raises_even_under_optimize(monkeypatch):
 
 
 REPEAT_GATE = """
-def tampered(gspec, seq):
-    face, coface = full(gspec, seq)
+def tampered(gspec, seq, sticky):
+    face, coface = full(gspec, seq, sticky)
     return face, coface + (coface[-1],)
 """
 
 STRETCH_GATE = """
-def tampered(gspec, seq):
-    face, coface = full(gspec, seq)
+def tampered(gspec, seq, sticky):
+    face, coface = full(gspec, seq, sticky)
     return face, coface + (coface[-2],)
 """
 
@@ -594,6 +609,18 @@ def test_gate_move_checks_raise_even_under_optimize(monkeypatch, tamper, message
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == "raised %s\n" % message
+
+
+def test_involution_check_recomputes_the_partners_sticky_run(monkeypatch):
+    # the halves of a pair differ by one point, so hiding the sticky runs of
+    # odd-sized sequences leaves the even-sized half without a way back
+    full = morse._first_sticky
+    monkeypatch.setattr(
+        morse, "_first_sticky",
+        lambda gspec, seq: full(gspec, seq) if len(seq) % 2 == 0 else None,
+    )
+    with pytest.raises(NotAMatching, match="gate pairing is not involutive"):
+        projecting_matching(mv_gluing(), 2)
 
 
 def test_twist_rejections():

@@ -30,8 +30,9 @@ from magtop.causal import (
     order_complex_pair,
     pair_achievable_lengths,
     seq_time_stamps,
+    walks,
 )
-from magtop.frames import FourCutObstruction, singular_sequences, thin_frames
+from magtop.frames import FourCutObstruction, _frame_steps, singular_sequences, thin_frames
 from magtop.homology import verify_chain_iso, verify_suspension_shift
 from magtop.metric import (
     INFINITE,
@@ -52,6 +53,8 @@ F = Fraction
 # -- Fraction oracles -----------------------------------------------------------
 
 def walks_fraction(space, a, l, b=None, successors=None):
+    """The recursive depth-first kernel: successors(seq) lists, in
+    increasing order, the points that may follow seq."""
     l = F(l)
     d = space.dist
     n = space.n
@@ -251,7 +254,8 @@ SPACES = [(den_max, seed) for den_max in (1, 6) for seed in range(5)]
 def odd_lengths(space):
     """Zero, negative, and lengths whose scaled value is not an integer."""
     scale = space._scaled[0]
-    odd = [F(1, 7), F(22, 7), F(1, 2 * scale), F(5, 2) + F(1, 3 * scale)]
+    sevenths = [l for l in (F(1, 7), F(22, 7)) if scale % 7]
+    odd = sevenths + [F(1, 2 * scale), F(5, 2) + F(1, 3 * scale)]
     for l in odd:
         assert (l * scale).denominator != 1
     return [F(0), F(-1), F(-1, 2)] + odd
@@ -270,6 +274,34 @@ def test_sequences_and_stamps_match_fraction_kernel(den_max, seed):
                     stamps = seq_time_stamps(space, seq)
                     assert stamps == seq_time_stamps_fraction(space, seq)
                     assert all(type(p.time) is F for p in stamps)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("den_max", [1, 6, 997])
+def test_walks_match_recursive_oracle(n, den_max):
+    # with no rule, the frame rule toward each b and the thin-frame rule
+    # with b None; den 997 gives scales from 979 up to about 6 * 10**30
+    space = random_metric_space(n, n, den_max)
+    every = [[y for y in range(n) if y != x] for x in range(n)]
+    thin = [
+        [y for y in every[x] if not open_interval_fraction(space, x, y)]
+        for x in range(n)
+    ]
+    frame_rule = _frame_steps(space, [set(s) for s in every])
+    thin_rule = _frame_steps(space, [set(s) for s in thin])
+    frame_oracle = frame_steps_fraction(space, every)
+    thin_oracle = frame_steps_fraction(space, thin)
+    for l in achievable_lengths_fraction(space, 3) + odd_lengths(space):
+        for a in range(n):
+            assert walks(space, a, l) == walks_fraction(space, a, l), (a, l)
+            assert walks(space, a, l, successors=thin_rule) == walks_fraction(
+                space, a, l, successors=thin_oracle
+            ), (a, l)
+            for b in range(n):
+                assert walks(space, a, l, b) == walks_fraction(space, a, l, b)
+                assert walks(space, a, l, b, frame_rule) == walks_fraction(
+                    space, a, l, b, frame_oracle
+                ), (a, b, l)
 
 
 def pair_view(pair, vertex=lambda v: v):
@@ -439,7 +471,13 @@ def test_fractional_triangle_violation_keeps_witness():
 
 def test_cached_scale_is_invisible_to_equality_hash_and_repr():
     used = random_metric_space(5, 3, 6)
-    lightlike_sequences(used, 0, 1, 3)
+    # fill step tables toward one endpoint and toward none; 0 1 0 1 has
+    # length l
+    l = 3 * used.dist[0][1]
+    expected = lightlike_sequences(used, 0, 1, l)
+    from_zero = walks(used, 0, l)
+    assert (0, 1, 0, 1) in expected and set(expected) < set(from_zero)
+    assert set(used._steps) == {1, None}
     fresh = MetricSpace(used.labels, used.dist)
     scale = math.lcm(*(v.denominator for row in used.dist for v in row))
     assert used._scaled == fresh._scaled
@@ -449,7 +487,11 @@ def test_cached_scale_is_invisible_to_equality_hash_and_repr():
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert [f.name for f in dataclasses.fields(used)] == ["labels", "dist"]
     copy = pickle.loads(pickle.dumps(used))
-    assert copy == used and hash(copy) == hash(used)
+    assert copy == used and hash(copy) == hash(used) and repr(copy) == repr(used)
+    assert [f.name for f in dataclasses.fields(copy)] == ["labels", "dist"]
     assert copy._scaled == used._scaled
+    assert lightlike_sequences(copy, 0, 1, l) == expected
+    assert walks(copy, 0, l) == from_zero
+    assert lightlike_sequences(fresh, 0, 1, l) == expected
     other = random_metric_space(5, 4, 6)
     assert used != other
