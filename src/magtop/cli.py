@@ -6,8 +6,9 @@ main prints the one form --format asks for once the command has
 returned, so a run that fails prints no partial result.  Exit codes are
 part of the contract: 0 pass, 1 check mismatch, 2 parse problem,
 3 metric-axiom violation, 4 unresolvable label, 5 hypothesis unmet,
-70 internal fault (a check on the program's own work failed, so no
-verdict is printed), 141 output closed early.
+70 internal fault (a check on the program's own work failed, or an
+exception nothing maps escaped, so no verdict is printed), 141 output
+closed early.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 from .causal import (
     InvalidLength,
@@ -162,6 +162,9 @@ def _rows_verdict(args, report, header, degree, left, right):
 
 def _run_tasks(worker, tasks, jobs):
     if jobs > 1 and len(tasks) > 1:
+        # imported here: a single-process run never pays for the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, tasks))
     return [worker(task) for task in tasks]
@@ -559,6 +562,10 @@ def main(argv=None):
         # every failed check on the program's own work, InternalFault or a
         # plain assert, is a defect and never a verdict
         print("internal fault: %s" % (exc,), file=sys.stderr)
+        return FAULT_CODE
+    except Exception as exc:
+        # any other escape is a defect too; exit 1 would read as a verdict
+        print("internal fault: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return FAULT_CODE
     if args.format == "json":
         lines = [json.dumps(doc, indent=2, sort_keys=True)]

@@ -143,15 +143,6 @@ class MetricSpace:
         except ValueError:
             raise LabelError(label) from None
 
-    def min_positive_distance(self):
-        """Smallest off-diagonal distance, or None for a one-point space."""
-        best = None
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if best is None or self.dist[i][j] < best:
-                    best = self.dist[i][j]
-        return best
-
     def __repr__(self):
         return "MetricSpace(%d points: %s)" % (self.n, ", ".join(self.labels))
 
@@ -260,11 +251,6 @@ def scaled_target(space, l):
     if scale % l.denominator:
         return None
     return l.numerator * (scale // l.denominator)
-
-
-def seq_length(space, seq):
-    """Total length d(x_0, ..., x_k) of a point-index sequence."""
-    return Fraction(scaled_length(space, seq), space._scaled[0])
 
 
 def is_smooth(space, seq, k):

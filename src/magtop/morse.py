@@ -12,7 +12,8 @@ checked, never assumed.  For a glued space the projecting matching pairs
 every sequence that crosses from one side to the other through the common
 part with a partner obtained by inserting or deleting a gate point, and
 its unmatched full-length sequences are exactly the ones decomposable
-into one-sided pieces.
+into one-sided pieces.  classify_sequence returns those pieces as
+(start, end) index pairs, or None for a sticky sequence.
 """
 
 from __future__ import annotations
@@ -198,22 +199,6 @@ def verify_bounded(simplices, matching):
     return BoundedReport(True, dict(zip(cells, bound)))
 
 
-@dataclass(frozen=True)
-class SequenceClass:
-    """Classification of a glued-space sequence.
-
-    kind is "sticky" when some crossing run has one end strictly inside g,
-    the other end at a biased interior-h point, and everything between in
-    K; otherwise "flat" (single one-sided piece) or "twistable" (several
-    pieces concatenated at neutral points).
-    """
-
-    kind: str
-    first_sticky: tuple | None = None
-    pieces: tuple = ()
-    cuts: tuple = ()
-
-
 def _first_sticky(gspec, seq):
     kset = gspec.kset
     interior_g = gspec.interior_g
@@ -237,22 +222,23 @@ def _first_sticky(gspec, seq):
 
 
 def classify_sequence(gspec, seq):
-    """Classify and, when sticky-free, decompose into one-sided flat pieces.
+    """The one-sided pieces ((start, end), ...) of a sticky-free sequence,
+    or None for a sticky one.
 
-    Pieces overlap in single concatenation points, each of which lies in
-    the neutral part of interior h; a fully one-sided sequence is a single
-    piece with no cuts.
+    A sequence is sticky when some crossing run has one end strictly inside
+    g, the other end at a biased interior-h point, and everything between
+    in K.  Pieces overlap in single concatenation points, each of which
+    lies in the neutral part of interior h; a fully one-sided sequence is a
+    single piece.
     """
     seq = tuple(seq)
-    sticky = _first_sticky(gspec, seq)
-    if sticky is not None:
-        return SequenceClass("sticky", sticky)
+    if _first_sticky(gspec, seq) is not None:
+        return None
     side_g = gspec.side_g
     side_h = gspec.side_h
     neutral = gspec.neutral
     k = len(seq)
     pieces = []
-    cuts = []
     start = 0
     while True:
         ok_g = True
@@ -267,7 +253,7 @@ def classify_sequence(gspec, seq):
             end = m
         if end == k - 1:
             pieces.append((start, end))
-            break
+            return tuple(pieces)
         # prefix maximal and strictly one-sided at a proper split
         assert ok_g != ok_h, "ambiguous maximal prefix cannot end properly"
         if ok_g:
@@ -279,10 +265,7 @@ def classify_sequence(gspec, seq):
         assert seq[j] in neutral, "split point must be neutral when sticky-free"
         assert j > start, "decomposition must make progress"
         pieces.append((start, j))
-        cuts.append(j)
         start = j
-    kind = "flat" if len(pieces) == 1 else "twistable"
-    return SequenceClass(kind, None, tuple(pieces), tuple(cuts))
 
 
 def _partner_sequence(gspec, seq, sticky):
@@ -363,7 +346,7 @@ def critical_cells(gspec, l):
             for seq in lightlike_sequences(space, a, b, l):
                 if not matching.is_matched(seq):
                     critical.append(seq)
-                if classify_sequence(gspec, seq).kind != "sticky":
+                if classify_sequence(gspec, seq) is not None:
                     twistfree.append(seq)
     # both lists keep the order of one enumeration of distinct sequences
     if critical != twistfree:
@@ -443,11 +426,11 @@ def sycamore_tau(twist, seq):
     twist.  Concatenation points are neutral, hence fixed by both maps.
     """
     x = twist.x
-    cls = classify_sequence(x, seq)
-    if cls.kind == "sticky":
+    pieces = classify_sequence(x, seq)
+    if pieces is None:
         raise ValueError("sticky sequences have no twist image")
     out = []
-    for start, end in cls.pieces:
+    for start, end in pieces:
         piece = seq[start : end + 1]
         if all(p in x.side_g for p in piece):
             image = piece

@@ -1,13 +1,14 @@
 """Truncated generalized power series in q with rational exponents.
 
 A series is a finite map {exponent: coefficient} with both sides exact
-rationals, truncated above a cutoff.  The similarity matrix is Z = I + N,
-where every entry of N has valuation at least the least positive
-distance, so X = Z^-1 is solved one exponent at a time by forward
-substitution on the space's scaled integer distances: every coefficient
-is an integer, and each entry becomes a series once, at the end.
-euler_check certifies that inverse, Z X = I at the truncation, before
-comparing it with homology.
+rationals, truncated above a required cutoff, the lmax it serves; sums
+and products keep the lower cutoff, and they are all the arithmetic the
+program needs.  The similarity matrix is Z = I + N, where every entry of
+N has valuation at least the least positive distance, so X = Z^-1 is
+solved one exponent at a time by forward substitution on the space's
+scaled integer distances: every coefficient is an integer, and each
+entry becomes a series once, at the end.  euler_check certifies that
+inverse, Z X = I at the truncation, before comparing it with homology.
 """
 
 from __future__ import annotations
@@ -22,43 +23,33 @@ from .homology import homology, magnitude_chain_complex
 from .metric import InternalFault
 
 
-def _min_trunc(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class HahnPolynomial:
     """Finite q-series with rational exponents, truncated above `truncation`."""
 
     __slots__ = ("terms", "truncation")
 
-    def __init__(self, terms, truncation=None):
-        self.truncation = None if truncation is None else Fraction(truncation)
+    def __init__(self, terms, truncation):
+        self.truncation = Fraction(truncation)
         clean = {}
         for e, c in terms.items():
             e = Fraction(e)
             c = Fraction(c)
-            if c == 0:
-                continue
-            if self.truncation is not None and e > self.truncation:
+            if c == 0 or e > self.truncation:
                 continue
             clean[e] = c
         self.terms = clean
 
     @classmethod
-    def zero(cls, truncation=None):
+    def zero(cls, truncation):
         return cls({}, truncation)
 
     @classmethod
-    def one(cls, truncation=None):
-        return cls({Fraction(0): Fraction(1)}, truncation)
+    def one(cls, truncation):
+        return cls({0: 1}, truncation)
 
     @classmethod
-    def monomial(cls, exponent, coefficient=1, truncation=None):
-        return cls({Fraction(exponent): Fraction(coefficient)}, truncation)
+    def monomial(cls, exponent, truncation):
+        return cls({exponent: 1}, truncation)
 
     def coefficient(self, exponent):
         return self.terms.get(Fraction(exponent), Fraction(0))
@@ -67,34 +58,22 @@ class HahnPolynomial:
         return sorted(self.terms)
 
     def __add__(self, other):
-        trunc = _min_trunc(self.truncation, other.truncation)
+        trunc = min(self.truncation, other.truncation)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, Fraction(0)) + c
         return HahnPolynomial(out, trunc)
 
-    def __neg__(self):
-        return HahnPolynomial({e: -c for e, c in self.terms.items()}, self.truncation)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return HahnPolynomial(
-                {e: c * other for e, c in self.terms.items()}, self.truncation
-            )
-        trunc = _min_trunc(self.truncation, other.truncation)
+        trunc = min(self.truncation, other.truncation)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                if trunc is not None and e > trunc:
+                if e > trunc:
                     continue
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return HahnPolynomial(out, trunc)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
@@ -135,7 +114,7 @@ def format_series(poly):
 @dataclass(frozen=True)
 class SeriesMatrix:
     entries: tuple  # tuple of tuples of HahnPolynomial
-    truncation: Fraction | None = None
+    truncation: Fraction
 
     @property
     def n(self):
@@ -155,17 +134,10 @@ class SeriesMatrix:
                     acc = acc + self.entries[i][k] * other.entries[k][j]
                 row.append(acc)
             rows.append(tuple(row))
-        return SeriesMatrix(tuple(rows), _min_trunc(self.truncation, other.truncation))
-
-    def __add__(self, other):
-        rows = tuple(
-            tuple(self.entries[i][j] + other.entries[i][j] for j in range(self.n))
-            for i in range(self.n)
-        )
-        return SeriesMatrix(rows, _min_trunc(self.truncation, other.truncation))
+        return SeriesMatrix(tuple(rows), min(self.truncation, other.truncation))
 
 
-def series_identity(n, truncation=None):
+def series_identity(n, truncation):
     rows = tuple(
         tuple(
             HahnPolynomial.one(truncation) if i == j else HahnPolynomial.zero(truncation)
@@ -176,11 +148,11 @@ def series_identity(n, truncation=None):
     return SeriesMatrix(rows, truncation)
 
 
-def z_matrix(space, truncation=None):
+def z_matrix(space, truncation):
     """Similarity matrix: entry (i,j) is the monomial q^d(i,j)."""
     rows = tuple(
         tuple(
-            HahnPolynomial.monomial(space.dist[i][j], 1, truncation)
+            HahnPolynomial.monomial(space.dist[i][j], truncation)
             for j in range(space.n)
         )
         for i in range(space.n)

@@ -23,9 +23,9 @@ from magtop.metric import (
     from_distance_matrix,
     from_weighted_graph,
     random_metric_space,
-    seq_length,
 )
 from magtop.series import perturbative_inverse
+from lengths import min_positive_distance, seq_length
 from simplicial import complex_of, poset_laws, simplices
 
 F = Fraction
@@ -48,7 +48,7 @@ def path_space():
 def naive_lightlike(space, a, b, l):
     """Unpruned enumeration over all short tuples; oracle for the DFS."""
     l = F(l)
-    r0 = space.min_positive_distance()
+    r0 = min_positive_distance(space)
     if r0 is None:
         max_pts = 1
     else:

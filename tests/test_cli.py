@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -515,13 +516,14 @@ def test_exit_mismatch_on_failing_check(capsys, monkeypatch):
 # with no chain short the relative chains outnumber the stamped sequences,
 # with every chain short a plain assert fails (under -O the relative-part
 # check still catches it), and with the identity for Z^-1 the euler
-# certificate Z X = I fails
+# certificate Z X = I fails; the last two stubs raise exceptions that no
+# exit code names, which are defects as well
 FAULTS = [
     (
         ["critical-cells", "fixture:mv_triangles", "--l", "1"],
         "magtop.morse",
         "classify_sequence",
-        "lambda *args: SequenceClass('sticky')",
+        "lambda *args: None",
     ),
     (
         ["verify", "union", "fixture:mv_triangles", "--lmax", "1"],
@@ -547,10 +549,22 @@ FAULTS = [
         "z_inverse",
         "lambda space, lmax: series_identity(space.n, lmax)",
     ),
+    (
+        ["critical-cells", "fixture:mv_triangles", "--l", "1"],
+        "magtop.morse",
+        "projecting_matching",
+        "lambda *args: (_ for _ in ()).throw(NotAMatching('stub'))",
+    ),
+    (
+        ["homology", "fixture:k3", "--l", "1"],
+        "magtop.causal",
+        "walks",
+        "lambda *args: (_ for _ in ()).throw(RecursionError('stub'))",
+    ),
 ]
 FAULT_IDS = [
     "critical-cells", "verify-union", "verify-chain-iso", "verify-chain-iso-assert",
-    "verify-euler",
+    "verify-euler", "not-a-matching", "recursion-error",
 ]
 
 
@@ -584,6 +598,19 @@ def test_internal_fault_exit_code_under_optimize(argv, module, name, stub):
     assert proc.returncode == cli.FAULT_CODE
     assert proc.stdout == b""
     assert proc.stderr.startswith(b"internal fault: ")
+
+
+def test_unmapped_exception_names_its_type(capsys, monkeypatch):
+    def boom(*args):
+        raise magtop.morse.NotAMatching("stub")
+
+    monkeypatch.setattr(magtop.morse, "projecting_matching", boom)
+    code, out, err = run(
+        capsys, ["verify", "sycamore", "fixture:sycamore_twist", "--lmax", "1"]
+    )
+    assert code == cli.FAULT_CODE
+    assert out == ""
+    assert err == "internal fault: NotAMatching: stub\n"
 
 
 def test_verify_json_format(capsys):
@@ -756,3 +783,62 @@ def test_package_root_exports_what_the_cli_uses():
         and value.__module__ != cli.__name__
     }
     assert len(used) == 38 and used <= set(PUBLIC_NAMES)
+
+
+# perturbative_inverse is the second route of the two-route magnitude check,
+# and that check lives in the tests
+READER_IN_TESTS = ["series.py:perturbative_inverse"]
+
+
+def test_every_member_has_a_reader_in_src():
+    # a top-level function or class, or a public method, that nothing under
+    # src/magtop reads outside its own definition is test-only code, and
+    # such code lives in the tests as helpers.  Reads are matched by name,
+    # so a method counts as read when any attribute load spells its name.
+    package = os.path.dirname(magtop.__file__)
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                trees[name] = ast.parse(f.read())
+    defs = []
+    reads = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((module, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs.extend(
+                    (module, node.name + "." + m.name, m)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((module, node.lineno))
+    unread = [
+        "%s:%s" % (module, name)
+        for module, name, node in defs
+        if not any(
+            where != module or not node.lineno <= line <= node.end_lineno
+            for where, line in reads.get(name.rsplit(".", 1)[-1], ())
+        )
+    ]
+    assert len(defs) > 100
+    assert unread == READER_IN_TESTS
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a --jobs run with more than one task imports the pool
+    src = os.path.dirname(os.path.dirname(magtop.__file__))
+    script = "import sys, magtop.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.stdout == "False\n", proc.stderr

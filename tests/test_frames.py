@@ -25,8 +25,8 @@ from magtop.metric import (
     four_cuts,
     is_smooth,
     random_metric_space,
-    seq_length,
 )
+from lengths import min_positive_distance, seq_length
 
 
 # the 6-vertex, 10-triangle RP^2, whose reduced homology is Z/2 in degree 1
@@ -180,7 +180,7 @@ def test_frames_are_idempotent():
 def brute_sequences(x, lmax):
     """Every sequence of length <= lmax, over all endpoints, by brute force,
     as a map from length to the sorted sequences of that length."""
-    count = int(lmax / x.min_positive_distance()) + 1
+    count = int(lmax / min_positive_distance(x)) + 1
     out = {}
     for k in range(1, count + 1):
         for seq in itertools.product(range(x.n), repeat=k):

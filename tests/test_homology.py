@@ -30,7 +30,8 @@ from magtop.homology import (
     verify_kunneth,
     verify_suspension_shift,
 )
-from magtop.metric import from_weighted_graph, random_metric_space, seq_length
+from magtop.metric import from_weighted_graph, random_metric_space
+from lengths import seq_length
 from simplicial import complex_of
 
 F = Fraction

@@ -23,8 +23,9 @@ from magtop.metric import (
     product,
     random_metric_space,
     restriction,
-    seq_length,
+    scaled_length,
 )
+from lengths import seq_length
 
 F = Fraction
 
@@ -155,7 +156,8 @@ def test_seq_length_and_smoothness():
     sp = from_weighted_graph(
         ("a", "b", "c"), [("a", "b", 1), ("b", "c", 1)]
     )
-    assert seq_length(sp, (0, 1, 2)) == 2
+    # the scaled length of a sequence is its length times the scale, 1 here
+    assert scaled_length(sp, (0, 1, 2)) == seq_length(sp, (0, 1, 2)) == 2
     # b lies between a and c, so the middle entry is smooth
     assert is_smooth(sp, (0, 1, 2), 1)
     assert not is_smooth(sp, (0, 1, 0), 1)

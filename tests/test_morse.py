@@ -13,7 +13,7 @@ import magtop
 from magtop import morse
 from magtop.docs import gluing_from_doc, load_fixture, twist_from_doc
 from magtop.homology import magnitude_homology_total
-from magtop.metric import MetricSpace, seq_length
+from magtop.metric import MetricSpace
 from magtop.morse import (
     CriticalCellsMismatch,
     Matching,
@@ -30,6 +30,7 @@ from magtop.morse import (
     verify_sycamore,
 )
 from magtop.causal import achievable_lengths, seq_time_stamps
+from lengths import seq_length
 
 
 def space(labels, rows):
@@ -282,7 +283,7 @@ def test_stamped_oracle_on_fixtures():
             assert {stamp[c]: n for c, n in rep.bounds.items()} == srep.bounds
             crit = sorted(stamp[c] for c in critical_cells(gl, l))
             sticky_free = sorted(
-                stamp[c] for c in cells if classify_sequence(gl, c).kind != "sticky"
+                stamp[c] for c in cells if classify_sequence(gl, c) is not None
             )
             assert crit == sticky_free
     assert repeats
@@ -321,23 +322,22 @@ def test_classification_matches_brute_force():
         for seq in product(range(gl.space.n), repeat=k):
             if any(seq[t] == seq[t + 1] for t in range(k - 1)):
                 continue
-            cls = classify_sequence(gl, seq)
-            assert (cls.kind == "sticky") == brute_sticky(gl, seq)
-            counts[cls.kind] += 1
-            if cls.kind == "sticky":
+            pieces = classify_sequence(gl, seq)
+            assert (pieces is None) == brute_sticky(gl, seq)
+            if pieces is None:
+                counts["sticky"] += 1
                 continue
-            assert cls.pieces[0][0] == 0 and cls.pieces[-1][1] == k - 1
-            for (_, e), (s2, _) in zip(cls.pieces, cls.pieces[1:]):
-                assert e == s2
-            for c in cls.cuts:
-                assert seq[c] in gl.neutral
-            for s, e in cls.pieces:
+            counts["flat" if len(pieces) == 1 else "twistable"] += 1
+            assert pieces[0][0] == 0 and pieces[-1][1] == k - 1
+            for (_, e), (s2, _) in zip(pieces, pieces[1:]):
+                # pieces meet at a cut, a neutral point
+                assert e == s2 and seq[e] in gl.neutral
+            for s, e in pieces:
                 piece = seq[s : e + 1]
                 one_sided = all(p in side_g for p in piece) or all(
                     p in side_h for p in piece
                 )
                 assert one_sided
-            assert (cls.kind == "flat") == (len(cls.pieces) == 1)
     assert counts == {"sticky": 148, "flat": 738, "twistable": 24}
 
 
@@ -346,7 +346,7 @@ def test_gate_insert_pair():
     # labels (p, q, u, v); v is biased with gate p
     assert gl.space.labels == ("p", "q", "u", "v")
     assert sorted(gl.biased) == [3] and gl.gates == {3: 0}
-    assert classify_sequence(gl, (2, 3)).kind == "sticky"
+    assert classify_sequence(gl, (2, 3)) is None
     m = projecting_matching(gl, 2)
     face, coface = (2, 3), (2, 0, 3)
     assert (face, coface) in m.pairs
@@ -421,11 +421,10 @@ def test_tau_worked_examples():
     # strictly one-sided in g: fixed pointwise
     assert sycamore_tau(tw, (2, 0, 4)) == (2, 0, 4)
     # h-side piece through a common point: the common point swaps
-    assert classify_sequence(tw.x, (6, 1, 9)).kind == "flat"
+    assert classify_sequence(tw.x, (6, 1, 9)) == ((0, 2),)
     assert sycamore_tau(tw, (6, 1, 9)) == (6, 0, 9)
     # twistable with a neutral cut and no common point: fixed
-    cls = classify_sequence(tw.x, (2, 6, 9))
-    assert cls.kind == "twistable" and cls.cuts == (1,)
+    assert classify_sequence(tw.x, (2, 6, 9)) == ((0, 1), (1, 2))
     assert sycamore_tau(tw, (2, 6, 9)) == (2, 6, 9)
     with pytest.raises(ValueError):
         sycamore_tau(tw, (2, 9))

@@ -43,8 +43,10 @@ from magtop.metric import (
     from_distance_matrix,
     from_weighted_graph,
     random_metric_space,
-    seq_length,
+    scaled_length,
+    scaled_target,
 )
+from lengths import seq_length
 from simplicial import simplices
 
 F = Fraction
@@ -149,10 +151,6 @@ def seq_time_stamps_fraction(space, seq):
     return tuple(chain)
 
 
-def seq_length_fraction(space, seq):
-    return sum((space.dist[x][y] for x, y in zip(seq, seq[1:])), F(0))
-
-
 def causal_lt_fraction(space):
     d = space.dist
     return lambda u, v: u != v and d[u.point][v.point] <= v.time - u.time
@@ -168,7 +166,7 @@ def order_complex_pair_fraction(space, a, b, l):
         return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
     pair = _chain_pair(
         order_chains(points, causal_lt_fraction(space)),
-        lambda c: seq_length_fraction(space, [p for _, p in c]) < l,
+        lambda c: seq_length(space, [p for _, p in c]) < l,
         False,
     )
     if pair.total._sims - pair.sub._sims != stamped:
@@ -190,7 +188,7 @@ def inner_pair_fraction(space, a, b, l):
     mid = sorted(p for p in points if p not in ends)
     return _chain_pair(
         order_chains(mid, causal_lt_fraction(space)),
-        lambda c: seq_length_fraction(space, [a] + [p for _, p in c] + [b]) < l,
+        lambda c: seq_length(space, [a] + [p for _, p in c] + [b]) < l,
         d_ab >= l,
     )
 
@@ -335,7 +333,8 @@ def test_relative_complexes_match_fraction_route(den_max, seed, monkeypatch):
     reports = []
     for a, b, l in cases:
         for seq in walks_fraction(space, a, l, b):
-            assert seq_length(space, seq) == seq_length_fraction(space, seq) == l
+            assert seq_length(space, seq) == l
+            assert scaled_length(space, seq) == scaled_target(space, l)
         assert pair_view(order_complex_pair(space, a, b, l), as_point) == pair_view(
             order_complex_pair_fraction(space, a, b, l)
         ), (a, b, l)
