@@ -305,9 +305,8 @@ class GluingSpec:
     The glued point list keeps all of g first, then the h points outside
     the image of K; points of K are identified with their g copies.
     Interior-h points are classified by whether they see all of K through
-    a single gate in K (biased) or not (neutral).  side_g and side_h are
-    the points a one-sided piece of a sequence may visit: K and the
-    neutral points on both sides, plus interior g or the biased points.
+    a single gate in K (biased) or not (neutral).  classes holds one small
+    int per glued point: 0 interior g, 1 in K, 2 biased, 3 neutral.
     """
 
     g: MetricSpace
@@ -321,12 +320,7 @@ class GluingSpec:
     biased: frozenset
     neutral: frozenset
     gates: dict  # biased glued index -> glued index of its gate in K
-    side_g: frozenset
-    side_h: frozenset
-
-    @property
-    def interior_h(self):
-        return self.biased | self.neutral
+    classes: tuple
 
 
 def glue(g, h, k_in_g, k_in_h):
@@ -379,8 +373,7 @@ def glue(g, h, k_in_g, k_in_h):
 
     kset = frozenset(k_in_g)
     interior_g = frozenset(range(g.n)) - kset
-    biased = set()
-    neutral = set()
+    classes = [1 if i in kset else 0 for i in range(g.n)]
     gates = {}
     for j_h in interior_h_idx:
         candidates = [
@@ -392,15 +385,14 @@ def glue(g, h, k_in_g, k_in_h):
                 for s in range(m)
             )
         ]
-        glued = h_to_x[j_h]
         if len(candidates) == 0:
-            neutral.add(glued)
+            classes.append(3)
         else:
             # two distinct gates would force distance zero between them
             if len(candidates) > 1:
                 raise InternalFault("non-unique gate for %s" % (h.labels[j_h],))
-            biased.add(glued)
-            gates[glued] = k_in_g[candidates[0]]
+            classes.append(2)
+            gates[h_to_x[j_h]] = k_in_g[candidates[0]]
     return GluingSpec(
         g=g,
         h=h,
@@ -410,11 +402,10 @@ def glue(g, h, k_in_g, k_in_h):
         h_to_x=h_to_x,
         interior_g=interior_g,
         kset=kset,
-        biased=frozenset(biased),
-        neutral=frozenset(neutral),
+        biased=frozenset(gates),
+        neutral=frozenset(p for p, c in enumerate(classes) if c == 3),
         gates=gates,
-        side_g=interior_g | kset | neutral,
-        side_h=kset | biased | neutral,
+        classes=tuple(classes),
     )
 
 

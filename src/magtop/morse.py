@@ -8,12 +8,15 @@ commutes with dropping an entry, so nothing here stamps a cell: the
 
 A partial matching pairs cells with codimension-one faces.  Matched
 pairs reverse their Hasse arrow; acyclicity of the resulting digraph is
-checked, never assumed.  For a glued space the projecting matching pairs
+checked, never assumed.  modified_hasse builds that digraph on cell
+indices and its Kahn order once, and verify_acyclic and verify_bounded
+both read the one pass.  For a glued space the projecting matching pairs
 every sequence that crosses from one side to the other through the common
 part with a partner obtained by inserting or deleting a gate point, and
 its unmatched full-length sequences are exactly the ones decomposable
 into one-sided pieces.  classify_sequence returns those pieces as
-(start, end) index pairs, or None for a sticky sequence.
+(start, end) index pairs, or None for a sticky sequence; it and the
+sticky scan read the gluing's per-point class tuple, never its point sets.
 """
 
 from __future__ import annotations
@@ -81,9 +84,6 @@ class Matching:
     def __iter__(self):
         return iter(self.pairs)
 
-    def __eq__(self, other):
-        return isinstance(other, Matching) and self.pairs == other.pairs
-
     def __repr__(self):
         return "Matching(%d pairs)" % len(self.pairs)
 
@@ -100,17 +100,30 @@ class AcyclicReport:
 @dataclass(frozen=True)
 class BoundedReport:
     ok: bool
-    bounds: dict
+    bounds: tuple  # N(cells[s]) at index s of the pass read, () on a cycle
 
     def __bool__(self):
         return self.ok
 
 
-def _modified_hasse(simplices, matching):
-    """The modified Hasse digraph on cell indices.
+class HassePass:
+    """The modified Hasse digraph on cell indices and its Kahn order."""
 
-    Returns the distinct cells, the matched pairs as {face: coface} and the
-    successor lists: matched Hasse arrows point up, the rest point down.
+    __slots__ = ("cells", "up", "succ", "order", "indeg")
+
+    def __init__(self, cells, up, succ, order, indeg):
+        self.cells = cells  # the distinct cells, in first-seen order
+        self.up = up  # matched face index -> coface index
+        self.succ = succ  # successor lists: matched arrows up, the rest down
+        self.order = order  # Kahn order; it misses the cells a cycle reaches
+        self.indeg = indeg  # left by the order: positive on the cells it misses
+
+
+def modified_hasse(simplices, matching):
+    """One pass over the modified Hasse digraph for both verifiers.
+
+    The Kahn order covers every cell exactly when the digraph is acyclic;
+    the cells it misses keep a positive indegree.
     """
     index = {}
     for s in simplices:
@@ -123,6 +136,7 @@ def _modified_hasse(simplices, matching):
             raise NotAMatching("matched simplex outside the complex: %r" % (face,))
         up[f] = c
     succ = [[] for _ in cells]
+    indeg = [0] * len(cells)
     for key, s in index.items():
         for i in range(len(key)):
             f = index.get(key[:i] + key[i + 1 :])
@@ -130,39 +144,27 @@ def _modified_hasse(simplices, matching):
                 continue
             if up.get(f) == s:
                 succ[f].append(s)
+                indeg[s] += 1
             else:
                 succ[s].append(f)
-    return cells, up, succ
-
-
-def _kahn(succ):
-    """Kahn order of a digraph on indices, and the indegrees it leaves.
-
-    The order covers every node exactly when the digraph is acyclic; the
-    nodes it misses keep a positive indegree.
-    """
-    indeg = [0] * len(succ)
-    for outs in succ:
-        for t in outs:
-            indeg[t] += 1
+                indeg[f] += 1
     order = [s for s, d in enumerate(indeg) if not d]
     for s in order:  # the order grows while it is read
         for t in succ[s]:
             indeg[t] -= 1
             if not indeg[t]:
                 order.append(t)
-    return order, indeg
+    return HassePass(cells, up, succ, order, indeg)
 
 
-def verify_acyclic(simplices, matching):
-    """Kahn-style cycle test on the modified Hasse digraph.
+def verify_acyclic(hasse):
+    """Cycle test on a modified Hasse pass.
 
     Returns a report carrying a directed cycle as witness on failure: the
     cells in order, each step a matched up-arrow or an unmatched down-arrow.
     """
-    cells, _, succ = _modified_hasse(simplices, matching)
-    order, indeg = _kahn(succ)
-    if len(order) == len(cells):
+    succ, indeg = hasse.succ, hasse.indeg
+    if len(hasse.order) == len(succ):
         return AcyclicReport(True)
     # every node the order missed has a predecessor it missed too
     back = {
@@ -175,49 +177,41 @@ def verify_acyclic(simplices, matching):
         s = back[s]
     cycle = list(trail)[trail[s] :]
     cycle.reverse()
-    return AcyclicReport(False, tuple(cells[t] for t in cycle))
+    return AcyclicReport(False, tuple(hasse.cells[t] for t in cycle))
 
 
-def verify_bounded(simplices, matching):
+def verify_bounded(hasse):
     """Longest alternating descent (down to a free face, up its partner).
 
     N(a) counts the cells on the longest path from a that alternates an
     unmatched down-arrow with the face's matched up-arrow.  Such a path runs
     forward in the Kahn order of the modified Hasse digraph, so the counts
     fill in from its end; a cycle leaves the order short and the report
-    failing.  The counts are returned keyed by cell so callers can inspect
-    them.
+    failing.  The counts line up with the pass's cells.
     """
-    cells, up, succ = _modified_hasse(simplices, matching)
-    order, _ = _kahn(succ)
-    if len(order) < len(cells):
-        return BoundedReport(False, {})
-    bound = [0] * len(cells)
-    for s in reversed(order):
+    up, succ = hasse.up, hasse.succ
+    if len(hasse.order) < len(succ):
+        return BoundedReport(False, ())
+    bound = [1] * len(succ)
+    for s in reversed(hasse.order):
         # a coface is never a matched face, so only down-arrows pass the test
-        bound[s] = 1 + max((bound[up[f]] for f in succ[s] if f in up), default=0)
-    return BoundedReport(True, dict(zip(cells, bound)))
+        tails = [bound[up[f]] for f in succ[s] if f in up]
+        if tails:
+            bound[s] += max(tails)
+    return BoundedReport(True, tuple(bound))
 
 
 def _first_sticky(gspec, seq):
-    kset = gspec.kset
-    interior_g = gspec.interior_g
-    biased = gspec.biased
-    k = len(seq)
-    for i in range(k - 1):
-        xi = seq[i]
-        if xi not in interior_g and xi not in biased:
-            continue
-        j = i + 1
-        while j < k and seq[j] in kset:
-            j += 1
-        if j == k:
-            continue
-        xj = seq[j]
-        if xi in interior_g and xj in biased:
-            return (i, j)
-        if xi in biased and xj in interior_g:
-            return (i, j)
+    """First sticky run (i, j) of seq, or None: consecutive points outside
+    K, one strictly inside g and the other biased."""
+    classes = gspec.classes
+    i, last = 0, 3  # a neutral point starts no sticky run
+    for j, p in enumerate(seq):
+        c = classes[p]
+        if c != 1:
+            if c + last == 2:  # one is 0 and the other 2
+                return (i, j)
+            i, last = j, c
     return None
 
 
@@ -229,15 +223,16 @@ def classify_sequence(gspec, seq):
     g, the other end at a biased interior-h point, and everything between
     in K.  Pieces overlap in single concatenation points, each of which
     lies in the neutral part of interior h; a fully one-sided sequence is a
-    single piece.
+    single piece.  A g-side piece avoids the biased points and an h-side
+    piece avoids interior g.
     """
     seq = tuple(seq)
+    cls = [gspec.classes[p] for p in seq]
+    k = len(seq)
+    if 0 not in cls or 2 not in cls:  # on one side, so neither sticky nor cut
+        return ((0, k - 1),)
     if _first_sticky(gspec, seq) is not None:
         return None
-    side_g = gspec.side_g
-    side_h = gspec.side_h
-    neutral = gspec.neutral
-    k = len(seq)
     pieces = []
     start = 0
     while True:
@@ -245,8 +240,8 @@ def classify_sequence(gspec, seq):
         ok_h = True
         end = start
         for m in range(start, k):
-            in_g = ok_g and seq[m] in side_g
-            in_h = ok_h and seq[m] in side_h
+            in_g = ok_g and cls[m] != 2
+            in_h = ok_h and cls[m] != 0
             if not in_g and not in_h:
                 break
             ok_g, ok_h = in_g, in_h
@@ -256,13 +251,9 @@ def classify_sequence(gspec, seq):
             return tuple(pieces)
         # prefix maximal and strictly one-sided at a proper split
         assert ok_g != ok_h, "ambiguous maximal prefix cannot end properly"
-        if ok_g:
-            j = max(m for m in range(start, end + 1) if seq[m] not in gspec.kset)
-        else:
-            j = max(
-                m for m in range(start, end + 1) if seq[m] in gspec.interior_h
-            )
-        assert seq[j] in neutral, "split point must be neutral when sticky-free"
+        # the piece is cut at its last point outside K
+        j = max(m for m in range(start, end + 1) if cls[m] != 1)
+        assert cls[j] == 3, "split point must be neutral when sticky-free"
         assert j > start, "decomposition must make progress"
         pieces.append((start, j))
         start = j
@@ -384,8 +375,7 @@ class SycamoreTwist:
                         "alpha is not a self-isometry at positions (%d,%d)" % (s, t)
                     )
         y = glue(g, h, k_in_g, tuple(k_in_h[alpha[t]] for t in range(m)))
-        for glued in sorted(x.neutral):
-            j_h = x.h_to_x.index(glued)
+        for j_h in (j for j, p in enumerate(x.h_to_x) if x.classes[p] == 3):
             for t in range(m):
                 if h.dist[k_in_h[t]][j_h] != h.dist[k_in_h[alpha[t]]][j_h]:
                     raise NotASycamoreTwist(
@@ -396,9 +386,7 @@ class SycamoreTwist:
                             h.labels[k_in_h[alpha[t]]],
                         )
                     )
-        assert x.biased == y.biased and x.neutral == y.neutral, (
-            "twist changed the biased/neutral split"
-        )
+        assert x.classes == y.classes, "twist changed the biased/neutral split"
         self.g = g
         self.h = h
         self.k_in_g = tuple(k_in_g)
@@ -407,7 +395,9 @@ class SycamoreTwist:
         self.x = x
         self.y = y
         common = {k_in_g[alpha[t]]: k_in_g[t] for t in range(m)}
-        self.tau_h = {p: common.get(p, p) for p in x.side_h}
+        self.tau_h = {
+            p: common.get(p, p) for p, c in enumerate(x.classes) if c != 0
+        }
 
     def reverse(self):
         """Twist mapping y back to x; its map composes with this one to id."""
@@ -425,14 +415,14 @@ def sycamore_tau(twist, seq):
     h keep interior points and relabel common points along the inverse
     twist.  Concatenation points are neutral, hence fixed by both maps.
     """
-    x = twist.x
-    pieces = classify_sequence(x, seq)
+    pieces = classify_sequence(twist.x, seq)
     if pieces is None:
         raise ValueError("sticky sequences have no twist image")
+    classes = twist.x.classes
     out = []
     for start, end in pieces:
         piece = seq[start : end + 1]
-        if all(p in x.side_g for p in piece):
+        if 2 not in [classes[p] for p in piece]:
             image = piece
         else:
             image = tuple(twist.tau_h[p] for p in piece)
@@ -509,8 +499,8 @@ def verify_sycamore(twist, lmax):
                 )
         for side, gspec, crit in (("x", twist.x, crit_x), ("y", twist.y, crit_y)):
             cells = lightlike_simplices(gspec.space, l)
-            light = _by_dim(cells)
-            alt_light = sum((-1) ** k * len(v) for k, v in light.items())
+            # a sequence of k + 1 points is a k-cell
+            alt_light = sum(1 if len(s) % 2 else -1 for s in cells)
             alt_crit = sum((-1) ** k * len(v) for k, v in crit.items())
             if alt_light != alt_crit:
                 problems.append(
@@ -518,10 +508,10 @@ def verify_sycamore(twist, lmax):
                     "Euler count, %d over all cells vs %d over critical ones"
                     % (l, side, alt_light, alt_crit)
                 )
-            matching = projecting_matching(gspec, l)
-            if not verify_acyclic(cells, matching):
+            hasse = modified_hasse(cells, projecting_matching(gspec, l))
+            if not verify_acyclic(hasse):
                 problems.append("cyclic matching at length %s" % (l,))
-            if not verify_bounded(cells, matching):
+            if not verify_bounded(hasse):
                 problems.append("unbounded matching at length %s" % (l,))
     mag_x = magnitude(x, lmax)
     mag_y = magnitude(y, lmax)

@@ -3,12 +3,15 @@
 A series is a finite map {exponent: coefficient} with both sides exact
 rationals, truncated above a required cutoff, the lmax it serves; sums
 and products keep the lower cutoff, and they are all the arithmetic the
-program needs.  The similarity matrix is Z = I + N, where every entry of
-N has valuation at least the least positive distance, so X = Z^-1 is
-solved one exponent at a time by forward substitution on the space's
-scaled integer distances: every coefficient is an integer, and each
-entry becomes a series once, at the end.  euler_check certifies that
-inverse, Z X = I at the truncation, before comparing it with homology.
+program needs.  A sum of many series (a weighting, the magnitude, an
+entry of a matrix product) collects its terms in one dict and builds one
+series at the end.  The similarity matrix is Z = I + N, where every
+entry of N has valuation at least the least positive distance, so
+X = Z^-1 is solved one exponent at a time by forward substitution on the
+space's scaled integer distances: every coefficient is an integer, and
+each entry becomes a series once, at the end.  euler_check certifies
+that inverse, Z X = I at the truncation, before comparing it with
+homology.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ class HahnPolynomial:
     __slots__ = ("terms", "truncation")
 
     def __init__(self, terms, truncation):
-        self.truncation = Fraction(truncation)
+        self.truncation = trunc = Fraction(truncation)
         clean = {}
         for e, c in terms.items():
-            e = Fraction(e)
-            c = Fraction(c)
-            if c == 0 or e > self.truncation:
-                continue
-            clean[e] = c
+            if type(e) is not Fraction:
+                e = Fraction(e)
+            if c and e <= trunc:
+                clean[e] = c if type(c) is Fraction else Fraction(c)
         self.terms = clean
 
     @classmethod
@@ -82,9 +84,6 @@ class HahnPolynomial:
             and self.truncation == other.truncation
         )
 
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.truncation))
-
     def __repr__(self):
         return "HahnPolynomial(%s)" % format_series(self)
 
@@ -125,16 +124,17 @@ class SeriesMatrix:
 
     def __mul__(self, other):
         n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = HahnPolynomial.zero(self.truncation)
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return SeriesMatrix(tuple(rows), min(self.truncation, other.truncation))
+        rows = tuple(
+            tuple(
+                _sum_series(
+                    (self.entries[i][k] * other.entries[k][j] for k in range(n)),
+                    self.truncation,
+                )
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+        return SeriesMatrix(rows, min(self.truncation, other.truncation))
 
 
 def series_identity(n, truncation):
@@ -217,24 +217,29 @@ def perturbative_inverse(space, a, b, lmax):
     return HahnPolynomial(terms, lmax)
 
 
+def _sum_series(series, truncation):
+    """One series summing the given ones into a single term dict; the
+    truncation is the least of theirs and `truncation`."""
+    trunc = Fraction(truncation)
+    out = {}
+    for poly in series:
+        trunc = min(trunc, poly.truncation)
+        for e, c in poly.terms.items():
+            out[e] = out.get(e, 0) + c
+    return HahnPolynomial(out, trunc)
+
+
 def weighting(space, lmax):
     """Row sums of the truncated inverse, one series per point."""
     inv = z_inverse(space, lmax)
-    out = []
-    for i in range(space.n):
-        acc = HahnPolynomial.zero(Fraction(lmax))
-        for j in range(space.n):
-            acc = acc + inv.entry(i, j)
-        out.append(acc)
-    return out
+    return [_sum_series(row, lmax) for row in inv.entries]
 
 
 def magnitude(space, lmax):
     """Sum of all entries of the truncated inverse similarity matrix."""
-    acc = HahnPolynomial.zero(Fraction(lmax))
-    for w in weighting(space, lmax):
-        acc = acc + w
-    return acc
+    return _sum_series(
+        (entry for row in z_inverse(space, lmax).entries for entry in row), lmax
+    )
 
 
 @dataclass(frozen=True)
@@ -242,9 +247,6 @@ class EulerReport:
     ok: bool
     checked: int
     mismatches: tuple
-
-    def __bool__(self):
-        return self.ok
 
 
 def euler_check(space, lmax):

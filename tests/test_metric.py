@@ -183,6 +183,17 @@ def test_four_cuts_on_cycle_and_trees():
     assert four_cuts(unit_complete(4)) == ([], INFINITE)
 
 
+def assert_class_partition(gl):
+    """The class tuple splits the glued points into interior g, K, biased
+    and neutral, class by class."""
+    assert len(gl.classes) == gl.space.n
+    parts = [
+        frozenset(p for p, c in enumerate(gl.classes) if c == k) for k in range(4)
+    ]
+    assert parts == [gl.interior_g, gl.kset, gl.biased, gl.neutral]
+    assert set(gl.gates) == gl.biased
+
+
 def test_glue_classifies_interior_points():
     # triangle glued to a (1,1,2) triangle along the unit edge: apex gated
     g = from_weighted_graph(
@@ -200,9 +211,8 @@ def test_glue_classifies_interior_points():
     # glued distances route through K
     u = gl.space.index("u")
     assert gl.space.dist[u][v] == 2  # u-p-v
-    assert gl.side_g | gl.interior_h == frozenset(range(gl.space.n))
-    # no neutral point here, so the sides meet in K alone
-    assert gl.side_g & gl.side_h == gl.kset
+    assert gl.classes == (1, 1, 0, 2)
+    assert_class_partition(gl)
 
 
 def test_glue_unit_triangles_has_neutral_point():
@@ -216,9 +226,8 @@ def test_glue_unit_triangles_has_neutral_point():
     v = gl.space.index("v")
     assert gl.neutral == frozenset({v})
     assert gl.biased == frozenset()
-    # a neutral point lies on both sides, with K
-    assert gl.side_g == frozenset(range(gl.space.n))
-    assert gl.side_h == gl.kset | {v}
+    assert gl.classes == (1, 1, 0, 3)
+    assert_class_partition(gl)
 
 
 def test_glue_rejections():
@@ -247,6 +256,7 @@ def test_glue_projection_distances_minimize_over_k():
     v = gl.space.index("v")
     assert gl.space.dist[u][v] == 2  # min over p and q crossings
     assert v in gl.neutral
+    assert_class_partition(gl)
 
 
 def test_random_metric_space_is_reproducible():

@@ -13,7 +13,7 @@ import magtop
 from magtop import morse
 from magtop.docs import gluing_from_doc, load_fixture, twist_from_doc
 from magtop.homology import magnitude_homology_total
-from magtop.metric import MetricSpace
+from magtop.metric import MetricSpace, from_weighted_graph, glue, restriction
 from magtop.morse import (
     CriticalCellsMismatch,
     Matching,
@@ -23,13 +23,14 @@ from magtop.morse import (
     classify_sequence,
     critical_cells,
     lightlike_simplices,
+    modified_hasse,
     projecting_matching,
     sycamore_tau,
     verify_acyclic,
     verify_bounded,
     verify_sycamore,
 )
-from magtop.causal import achievable_lengths, seq_time_stamps
+from magtop.causal import achievable_lengths, lightlike_sequences, seq_time_stamps
 from lengths import seq_length
 
 
@@ -52,7 +53,7 @@ def test_matching_accessors():
     assert m.pairs == ((("a",), ("a", "b")), (("c",), ("b", "c")))
     assert m.is_matched(("c",)) and m.is_matched(("b", "c"))
     assert not m.is_matched(("b",))
-    assert m == Matching(reversed(list(m)))
+    assert m.pairs == Matching(reversed(list(m))).pairs
 
 
 def test_matching_rejects_bad_pairs():
@@ -78,12 +79,12 @@ def test_matching_accepts_face_of_repeating_coface():
 def test_matching_outside_complex_rejected():
     m = Matching([(("a",), ("a", "b"))])
     with pytest.raises(NotAMatching):
-        verify_acyclic([("a",), ("b",)], m)
+        modified_hasse([("a",), ("b",)], m)
 
 
 def test_acyclic_segment():
     cells = [("a",), ("b",), ("a", "b")]
-    rep = verify_acyclic(cells, Matching([(("a",), ("a", "b"))]))
+    rep = verify_acyclic(modified_hasse(cells, Matching([(("a",), ("a", "b"))])))
     assert rep.ok and rep.cycle == ()
 
 
@@ -103,7 +104,8 @@ def test_cycle_witness_on_triangle_boundary():
             (("v2",), ("v0", "v2")),
         ]
     )
-    rep = verify_acyclic(cells, m)
+    hasse = modified_hasse(cells, m)
+    rep = verify_acyclic(hasse)
     assert not rep
     assert len(rep.cycle) == 6 and len(set(rep.cycle)) == 6
     # each step is a matched up-arrow or an unmatched down-arrow
@@ -113,24 +115,42 @@ def test_cycle_witness_on_triangle_boundary():
         else:
             assert len(t) == len(s) - 1 and set(t) < set(s)
             assert (t, s) not in m.pairs
-    bounded = verify_bounded(cells, m)
-    assert not bounded and bounded.bounds == {}
+    bounded = verify_bounded(hasse)
+    assert not bounded and bounded.bounds == ()
+
+
+def test_cyclic_matching_fails_both_verdicts_from_one_pass():
+    # a square's boundary matched around the cycle, with a pendant edge
+    # matched off it; the cycle witness is pinned
+    cells = [("a",), ("b",), ("c",), ("d",), ("e",), ("a", "b"), ("b", "c"),
+             ("c", "d"), ("a", "d"), ("d", "e")]
+    m = Matching([(("a",), ("a", "b")), (("b",), ("b", "c")), (("c",), ("c", "d")),
+                  (("d",), ("a", "d")), (("e",), ("d", "e"))])
+    hasse = modified_hasse(cells, m)
+    assert hasse.cells == cells and len(hasse.order) < len(cells)
+    rep = verify_acyclic(hasse)
+    bounded = verify_bounded(hasse)
+    assert not rep and not bounded and bounded.bounds == ()
+    assert rep.cycle == (("b",), ("b", "c"), ("c",), ("c", "d"), ("d",),
+                         ("a", "d"), ("a",), ("a", "b"))
 
 
 def test_bounded_counts_on_path_complex():
     cells = [("a",), ("b",), ("c",), ("a", "b"), ("b", "c")]
     m = Matching([(("a",), ("a", "b")), (("b",), ("b", "c"))])
-    rep = verify_bounded(cells, m)
+    hasse = modified_hasse(cells, m)
+    rep = verify_bounded(hasse)
     assert rep.ok
-    assert rep.bounds[("a", "b")] == 2
-    assert rep.bounds[("b", "c")] == 1
-    assert all(rep.bounds[v] == 1 for v in [("a",), ("b",), ("c",)])
+    bounds = dict(zip(hasse.cells, rep.bounds))
+    assert bounds[("a", "b")] == 2
+    assert bounds[("b", "c")] == 1
+    assert all(bounds[v] == 1 for v in [("a",), ("b",), ("c",)])
 
 
 def test_bounded_empty_matching():
     cells = [("a",), ("b",), ("a", "b")]
-    rep = verify_bounded(cells, Matching([]))
-    assert rep.ok and set(rep.bounds.values()) == {1}
+    rep = verify_bounded(modified_hasse(cells, Matching([])))
+    assert rep.ok and rep.bounds == (1, 1, 1)
 
 
 def dfs_bounds(simplices, matching):
@@ -169,9 +189,10 @@ def test_bounds_match_dfs_oracle_on_fixtures():
         for l in (1, 2, 3, 4):
             cells = lightlike_simplices(gl.space, l)
             m = projecting_matching(gl, l)
-            rep = verify_bounded(cells, m)
+            hasse = modified_hasse(cells, m)
+            rep = verify_bounded(hasse)
             assert rep.ok
-            assert rep.bounds == dfs_bounds(cells, m)
+            assert dict(zip(hasse.cells, rep.bounds)) == dfs_bounds(cells, m)
 
 
 def modified_arrows(cells, matching):
@@ -236,8 +257,9 @@ def test_verifiers_match_brute_force_on_random_matchings():
         cells, m = random_matched_complex(rng)
         arrows = modified_arrows(cells, m)
         cyclic_here = has_cycle(cells, arrows)
-        rep = verify_acyclic(cells, m)
-        bounded = verify_bounded(cells, m)
+        hasse = modified_hasse(cells, m)
+        rep = verify_acyclic(hasse)
+        bounded = verify_bounded(hasse)
         assert rep.ok == (not cyclic_here) == bounded.ok
         if cyclic_here:
             cyclic += 1
@@ -246,11 +268,11 @@ def test_verifiers_match_brute_force_on_random_matchings():
             assert all(
                 (s, t) in arrows for s, t in zip(cycle, cycle[1:] + cycle[:1])
             )
-            assert bounded.bounds == {}
+            assert bounded.bounds == ()
         else:
             acyclic += 1
             assert rep.cycle == ()
-            assert bounded.bounds == dfs_bounds(cells, m)
+            assert dict(zip(hasse.cells, bounded.bounds)) == dfs_bounds(cells, m)
     assert cyclic >= 10 and acyclic >= 10
 
 
@@ -269,18 +291,22 @@ def test_stamped_oracle_on_fixtures():
             stamped = [stamp[c] for c in cells]
             sm = Matching((stamp[f], stamp[c]) for f, c in m)
             arrows = modified_arrows(cells, m)
-            _, _, succ = morse._modified_hasse(cells, m)
+            hasse = modified_hasse(cells, m)
             assert arrows == {
-                (cells[s], cells[t]) for s, outs in enumerate(succ) for t in outs
+                (cells[s], cells[t]) for s, outs in enumerate(hasse.succ) for t in outs
             }
-            _, _, ssucc = morse._modified_hasse(stamped, sm)
+            shasse = modified_hasse(stamped, sm)
             assert {(stamp[a], stamp[b]) for a, b in arrows} == {
-                (stamped[s], stamped[t]) for s, outs in enumerate(ssucc) for t in outs
+                (stamped[s], stamped[t])
+                for s, outs in enumerate(shasse.succ)
+                for t in outs
             }
-            assert verify_acyclic(cells, m).ok == verify_acyclic(stamped, sm).ok
-            rep, srep = verify_bounded(cells, m), verify_bounded(stamped, sm)
+            assert verify_acyclic(hasse).ok == verify_acyclic(shasse).ok
+            rep, srep = verify_bounded(hasse), verify_bounded(shasse)
             assert rep.ok == srep.ok
-            assert {stamp[c]: n for c, n in rep.bounds.items()} == srep.bounds
+            assert {stamp[c]: n for c, n in zip(hasse.cells, rep.bounds)} == dict(
+                zip(shasse.cells, srep.bounds)
+            )
             crit = sorted(stamp[c] for c in critical_cells(gl, l))
             sticky_free = sorted(
                 stamp[c] for c in cells if classify_sequence(gl, c) is not None
@@ -316,7 +342,7 @@ def brute_sticky(gspec, seq):
 def test_classification_matches_brute_force():
     gl = sycamore_gluing()
     side_g = gl.interior_g | gl.kset | gl.neutral
-    side_h = gl.side_h
+    side_h = gl.kset | gl.biased | gl.neutral
     counts = {"sticky": 0, "flat": 0, "twistable": 0}
     for k in (1, 2, 3):
         for seq in product(range(gl.space.n), repeat=k):
@@ -339,6 +365,107 @@ def test_classification_matches_brute_force():
                 )
                 assert one_sided
     assert counts == {"sticky": 148, "flat": 738, "twistable": 24}
+
+
+def oracle_first_sticky(gspec, seq):
+    """The two-loop scan over frozensets: from each strict-g or biased
+    point, skip K to the next point and test the pair."""
+    k = len(seq)
+    for i in range(k - 1):
+        xi = seq[i]
+        if xi not in gspec.interior_g and xi not in gspec.biased:
+            continue
+        j = i + 1
+        while j < k and seq[j] in gspec.kset:
+            j += 1
+        if j == k:
+            continue
+        xj = seq[j]
+        if xi in gspec.interior_g and xj in gspec.biased:
+            return (i, j)
+        if xi in gspec.biased and xj in gspec.interior_g:
+            return (i, j)
+    return None
+
+
+def oracle_classify(gspec, seq):
+    """Maximal one-sided prefixes over the frozenset sides, each cut at its
+    last point outside K (g side) or in interior h (h side)."""
+    if oracle_first_sticky(gspec, seq) is not None:
+        return None
+    side_g = gspec.interior_g | gspec.kset | gspec.neutral
+    side_h = gspec.kset | gspec.biased | gspec.neutral
+    interior_h = gspec.biased | gspec.neutral
+    k = len(seq)
+    pieces = []
+    start = 0
+    while True:
+        ok_g = ok_h = True
+        end = start
+        for m in range(start, k):
+            in_g = ok_g and seq[m] in side_g
+            in_h = ok_h and seq[m] in side_h
+            if not in_g and not in_h:
+                break
+            ok_g, ok_h = in_g, in_h
+            end = m
+        if end == k - 1:
+            pieces.append((start, end))
+            return tuple(pieces)
+        if ok_g:
+            j = max(m for m in range(start, end + 1) if seq[m] not in gspec.kset)
+        else:
+            j = max(m for m in range(start, end + 1) if seq[m] in interior_h)
+        pieces.append((start, j))
+        start = j
+
+
+def random_gluing(seed):
+    """A seeded random graph metric with weights 1 and 2, restricted to two
+    pieces that share a random common part K."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 7)
+    labels = ["v%d" % i for i in range(n)]
+    edges = [(labels[i], labels[rng.randrange(i)], rng.randint(1, 2)) for i in range(1, n)]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(range(n), 2)
+        edges.append((labels[a], labels[b], rng.randint(1, 2)))
+    whole = from_weighted_graph(labels, edges)
+    common = rng.sample(range(n), rng.randint(1, 3))
+    rest = [i for i in range(n) if i not in common]
+    rng.shuffle(rest)
+    cut = rng.randint(1, len(rest) - 1)
+    in_g = sorted(common + rest[:cut])
+    in_h = sorted(common + rest[cut:])
+    return glue(
+        restriction(whole, in_g),
+        restriction(whole, in_h),
+        [in_g.index(i) for i in common],
+        [in_h.index(i) for i in common],
+    )
+
+
+def test_class_tuple_matches_frozenset_oracles():
+    tw = twist_from_doc(load_fixture("sycamore_twist"))
+    gluings = [mv_gluing(), sycamore_gluing(), tw.x, tw.y]
+    gluings += [random_gluing(seed) for seed in range(24)]
+    seen = {"sticky": 0, "flat": 0, "twistable": 0}
+    classes = set()
+    for gl in gluings:
+        classes.update(gl.classes)
+        sp = gl.space
+        for l in achievable_lengths(sp, 4):
+            for a, b in product(range(sp.n), repeat=2):
+                for seq in lightlike_sequences(sp, a, b, l):
+                    assert morse._first_sticky(gl, seq) == oracle_first_sticky(gl, seq)
+                    pieces = classify_sequence(gl, seq)
+                    assert pieces == oracle_classify(gl, seq)
+                    if pieces is None:
+                        seen["sticky"] += 1
+                    else:
+                        seen["flat" if len(pieces) == 1 else "twistable"] += 1
+    assert classes == {0, 1, 2, 3}
+    assert all(v >= 100 for v in seen.values()), seen
 
 
 def test_gate_insert_pair():
@@ -382,10 +509,9 @@ def test_critical_euler_equals_homology_euler():
 def test_matching_acyclic_and_bounded_mv():
     gl = mv_gluing()
     for l in (1, 2, 3):
-        cells = lightlike_simplices(gl.space, l)
-        m = projecting_matching(gl, l)
-        assert verify_acyclic(cells, m)
-        assert verify_bounded(cells, m)
+        hasse = modified_hasse(lightlike_simplices(gl.space, l), projecting_matching(gl, l))
+        assert verify_acyclic(hasse)
+        assert verify_bounded(hasse)
 
 
 def test_identity_twist_is_trivial():
@@ -420,6 +546,8 @@ def test_tau_worked_examples():
     assert labels == ("p", "q", "g3", "g4", "g5", "g6", "h3", "h4", "h5", "h6")
     # strictly one-sided in g: fixed pointwise
     assert sycamore_tau(tw, (2, 0, 4)) == (2, 0, 4)
+    # only common and neutral points, so on both sides: fixed pointwise
+    assert sycamore_tau(tw, (0, 6, 1)) == (0, 6, 1)
     # h-side piece through a common point: the common point swaps
     assert classify_sequence(tw.x, (6, 1, 9)) == ((0, 2),)
     assert sycamore_tau(tw, (6, 1, 9)) == (6, 0, 9)
@@ -447,7 +575,7 @@ def test_all_biased_gluing_twist():
         (Fraction(2), 2, 16, 16, True),
     )
     side_g = tw.x.interior_g | tw.x.kset
-    side_h = tw.x.side_h
+    side_h = tw.x.kset | tw.x.biased
     for l in (1, 2):
         for s in critical_cells(tw.x, l):
             one_sided = all(p in side_g for p in s) or all(p in side_h for p in s)

@@ -196,3 +196,57 @@ def test_euler_identity_on_fixtures_and_random_spaces():
     for seed in range(10):
         rep = euler_check(random_metric_space(5, seed), F(3))
         assert rep.ok, (seed, rep.mismatches)
+
+
+def plus_chain(series, truncation):
+    """Sum by the `+` chain from a zero of the given truncation."""
+    acc = HahnPolynomial.zero(truncation)
+    for poly in series:
+        acc = acc + poly
+    return acc
+
+
+def spaces_of_scale(scale, den_max, count=3):
+    """The first seeded 5-point random spaces whose distances have the
+    given least common denominator."""
+    found = []
+    for seed in range(40):
+        sp = random_metric_space(5, seed, den_max)
+        if sp._scaled[0] == scale:
+            found.append(sp)
+            if len(found) == count:
+                return found
+    raise AssertionError("no %d seeded spaces of scale %d" % (count, scale))
+
+
+def assert_same_series(got, want):
+    assert got.terms == want.terms
+    assert got.truncation == want.truncation
+    assert format_series(got) == format_series(want)
+
+
+def test_one_pass_sums_match_plus_chain_oracle():
+    for scale, den_max in ((1, 1), (2, 2), (60, 6)):
+        for sp in spaces_of_scale(scale, den_max):
+            for lmax in (2, 3, 4):
+                lmax = F(lmax)
+                inv = z_inverse(sp, lmax)
+                want_w = [plus_chain(row, lmax) for row in inv.entries]
+                for got, want in zip(weighting(sp, lmax), want_w, strict=True):
+                    assert_same_series(got, want)
+                assert_same_series(magnitude(sp, lmax), plus_chain(want_w, lmax))
+                # equal truncations, then a right and a left factor cut higher
+                for left, right in (
+                    (z_matrix(sp, lmax), inv),
+                    (inv, z_matrix(sp, lmax + 1)),
+                    (z_matrix(sp, lmax + 1), inv),
+                ):
+                    prod = left * right
+                    assert prod.truncation == min(left.truncation, right.truncation)
+                    for i in range(sp.n):
+                        for j in range(sp.n):
+                            want = plus_chain(
+                                (left.entry(i, k) * right.entry(k, j) for k in range(sp.n)),
+                                left.truncation,
+                            )
+                            assert_same_series(prod.entry(i, j), want)
