@@ -23,12 +23,15 @@ posets and complexes compare and hash ints.  seq_time_stamps is the one
 Fraction view of those times.
 
 walks, the one sequence kernel, does not recurse.  For an endpoint b it
-keeps a step table on the space, built the first time b is enumerated: for
-each point x the triples (need, y, step), y != x, in ascending need, where
-step is the scaled d(x, y) and need = step + the scaled d(y, b) (need =
-step when b is None).  The partial sequences grow one level at a time, and
-each stops scanning its table at the first need above the length it has
-left, so its cost follows its live extensions, not the number of points.
+keeps a step table on the space: for each point x the triples (need, y,
+step), y != x, in ascending need, where step is the scaled d(x, y) and
+need = step + the scaled d(y, b) (need = step when b is None).  The
+table is made the first time b is enumerated, and each point's row the
+first time a partial sequence ends there, so a walk that reaches a few
+points of a large space sorts only their rows.  The partial sequences
+grow one level at a time, and each stops scanning its table at the first
+need above the length it has left, so its cost follows its live
+extensions, not the number of points.
 Steps are positive, so no output is a proper prefix of another, and one
 sort of the output gives the depth-first lexicographic order.
 """
@@ -53,17 +56,36 @@ class CausalPoint(NamedTuple):
     point: int
 
 
+class _StepTable(dict):
+    """The step table toward one endpoint (see the module docstring): a
+    point's row is built the first time it is read, so a hit stays a plain
+    dict lookup."""
+
+    __slots__ = ("d", "to_end")
+
+    def __init__(self, d, to_end):
+        self.d = d
+        self.to_end = to_end
+
+    def __missing__(self, x):
+        to_end = self.to_end
+        row = self[x] = tuple(
+            sorted(
+                (step + to_end[y], y, step)
+                for y, step in enumerate(self.d[x])
+                if y != x
+            )
+        )
+        return row
+
+
 def _step_table(space, b):
-    """The step table toward b (see the module docstring), built on first
-    use and kept on the space."""
+    """The step table toward b, made on first use and kept on the space."""
     table = space._steps.get(b)
     if table is None:
         d = space._scaled[1]
         to_end = d[b] if b is not None else [0] * space.n  # d is symmetric
-        table = space._steps[b] = tuple(
-            tuple(sorted((step + to_end[y], y, step) for y, step in enumerate(row) if y != x))
-            for x, row in enumerate(d)
-        )
+        table = space._steps[b] = _StepTable(d, to_end)
     return table
 
 

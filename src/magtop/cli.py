@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from collections import Counter
+from itertools import chain
 
 from .causal import (
     InvalidLength,
@@ -209,10 +210,7 @@ def cmd_homology(args):
     space = _load_space(args.input, args.seed)
     l = _length_arg(args.l)
     pairs = _selected_pairs(space, args.from_label, args.to_label)
-    reachable = set()
-    for a, b in pairs:
-        reachable.update(pair_achievable_lengths(space, a, b, l))
-    if l not in reachable:
+    if not any(l in pair_achievable_lengths(space, a, b, l) for a, b in pairs):
         doc = {"l": format_rational(l), "rows": [], "total": []}
         line = (
             "# no rows: length %s is not achievable for the selected pairs"
@@ -274,21 +272,22 @@ def cmd_critical_cells(args):
     gspec = gluing_from_doc(_load_document(args.input))
     l = _length_arg(args.l)
     space = gspec.space
-    found = sorted(critical_cells(gspec, l), key=lambda s: _stamps(space, s))
-    cells = [seq_time_stamps(space, s) for s in found]
+    found = critical_cells(gspec, l)
+    # in stamp order: the (t, point) pairs of a cell, flattened into one tuple
+    found.sort(key=lambda s: tuple(chain.from_iterable(_stamps(space, s))))
     by_dim = {}
-    for stamped in cells:
-        by_dim.setdefault(len(stamped) - 1, []).append(
-            _stamped_text(space, stamped)
+    for s in found:  # each cell's stamps live only while it is formatted
+        by_dim.setdefault(len(s) - 1, []).append(
+            _stamped_text(space, seq_time_stamps(space, s))
         )
     by_dim = dict(sorted(by_dim.items()))
     doc = {
         "l": format_rational(l),
-        "total": len(cells),
+        "total": len(found),
         "cells": {str(k): texts for k, texts in by_dim.items()},
     }
     lines = [
-        "# critical cells at length %s: %d" % (format_rational(l), len(cells))
+        "# critical cells at length %s: %d" % (format_rational(l), len(found))
     ]
     for k, texts in by_dim.items():
         lines.append("dim %d: %d" % (k, len(texts)))

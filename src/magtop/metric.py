@@ -92,8 +92,8 @@ class MetricSpace:
     """Finite point set with an exact rational distance matrix.
 
     _scaled caches (scale, integer matrix) for the kernels, and _steps the
-    step tables causal.walks builds per endpoint on first use; neither takes
-    part in equality, hashing or repr.
+    step tables causal.walks builds per endpoint, row by row, on first use;
+    neither takes part in equality, hashing or repr.
     """
 
     labels: tuple
@@ -315,8 +315,6 @@ class GluingSpec:
     k_in_h: tuple
     space: MetricSpace
     h_to_x: tuple
-    interior_g: frozenset
-    kset: frozenset
     biased: frozenset
     neutral: frozenset
     gates: dict  # biased glued index -> glued index of its gate in K
@@ -372,7 +370,6 @@ def glue(g, h, k_in_g, k_in_h):
     space = MetricSpace(tuple(labels), tuple(tuple(row) for row in dist))
 
     kset = frozenset(k_in_g)
-    interior_g = frozenset(range(g.n)) - kset
     classes = [1 if i in kset else 0 for i in range(g.n)]
     gates = {}
     for j_h in interior_h_idx:
@@ -400,8 +397,6 @@ def glue(g, h, k_in_g, k_in_h):
         k_in_h=k_in_h,
         space=space,
         h_to_x=h_to_x,
-        interior_g=interior_g,
-        kset=kset,
         biased=frozenset(gates),
         neutral=frozenset(p for p, c in enumerate(classes) if c == 3),
         gates=gates,

@@ -17,6 +17,11 @@ its unmatched full-length sequences are exactly the ones decomposable
 into one-sided pieces.  classify_sequence returns those pieces as
 (start, end) index pairs, or None for a sticky sequence; it and the
 sticky scan read the gluing's per-point class tuple, never its point sets.
+
+verify_sycamore holds one length's work at a time, and of it one step at
+a time: first the critical cells of both sides and the twist images, then
+side x's full-length cells, matching and Hasse pass, then side y's.  Each
+step keeps only the counts the next one reads.
 """
 
 from __future__ import annotations
@@ -294,7 +299,9 @@ def projecting_matching(gspec, l):
     The gate identity keeps insertion length-preserving, so both halves of
     each pair are full-length sequences of the same endpoints.  Length,
     repeats, involution and conflicts are checked; a failure raises
-    NotAMatching.
+    NotAMatching.  Once a pair is checked from one half, the other half,
+    whose partner the involution check has just shown to be this pair, is
+    skipped.
     """
     space = gspec.space
     l = Fraction(l)
@@ -302,7 +309,10 @@ def projecting_matching(gspec, l):
     pairs = {}
     for a in range(space.n):
         for b in range(space.n):
+            done = set()  # checked other halves; a gate move keeps the ends
             for seq in lightlike_sequences(space, a, b, l):
+                if seq in done:
+                    continue
                 sticky = _first_sticky(gspec, seq)
                 if sticky is None:
                     continue
@@ -317,6 +327,7 @@ def projecting_matching(gspec, l):
                     raise NotAMatching("gate pairing is not involutive")
                 if pairs.setdefault(face, coface) != coface:
                     raise NotAMatching("conflicting partners")
+                done.add(other)
     return Matching(pairs.items())
 
 
@@ -441,6 +452,79 @@ def _by_dim(cells):
     return table
 
 
+def _alternating(crit):
+    return sum((-1) ** k * len(v) for k, v in crit.items())
+
+
+def _bijection_problems(twist, rev, l, rows, problems):
+    """Compare the critical cells of both sides at length l under the
+    twist, dimension by dimension; returns their alternating counts.
+
+    The critical-cell sets and twist images die with this call, before any
+    side's full complex is built.
+    """
+    y = twist.y.space
+    top_y = scaled_target(y, l)
+    crit_x = _by_dim(critical_cells(twist.x, l))
+    crit_y = _by_dim(critical_cells(twist.y, l))
+    images = {}
+    for k, cells in crit_x.items():
+        imgs = set()
+        stretched = unreversed = 0
+        for seq in cells:
+            img = sycamore_tau(twist, seq)
+            if scaled_length(y, img) != top_y:
+                stretched += 1
+            elif sycamore_tau(rev, img) != seq:
+                unreversed += 1
+            imgs.add(img)
+        if stretched:
+            problems.append(
+                "length %s dim %d: %d twist images change length"
+                % (l, k, stretched)
+            )
+        if unreversed:
+            problems.append(
+                "length %s dim %d: reverse twist fails to invert %d cells"
+                % (l, k, unreversed)
+            )
+        if len(imgs) != len(cells):
+            problems.append(
+                "length %s dim %d: twist map is not injective" % (l, k)
+            )
+        images[k] = imgs
+    for k in sorted(set(crit_x) | set(crit_y) | set(images)):
+        cx = len(crit_x.get(k, ()))
+        cy = len(crit_y.get(k, ()))
+        same = images.get(k, set()) == crit_y.get(k, set())
+        rows.append((l, k, cx, cy, same and cx == cy))
+        if not (same and cx == cy):
+            problems.append(
+                "length %s dim %d: %d cells vs %d" % (l, k, cx, cy)
+            )
+    return _alternating(crit_x), _alternating(crit_y)
+
+
+def _side_problems(side, gspec, l, alt_crit, problems):
+    """Euler cancellation, acyclicity and boundedness of one side's
+    projecting matching at length l; its cells, matching and Hasse pass
+    die with this call."""
+    cells = lightlike_simplices(gspec.space, l)
+    # a sequence of k + 1 points is a k-cell
+    alt_light = sum(1 if len(s) % 2 else -1 for s in cells)
+    if alt_light != alt_crit:
+        problems.append(
+            "length %s in %s: matched pairs fail to cancel in the "
+            "Euler count, %d over all cells vs %d over critical ones"
+            % (l, side, alt_light, alt_crit)
+        )
+    hasse = modified_hasse(cells, projecting_matching(gspec, l))
+    if not verify_acyclic(hasse):
+        problems.append("cyclic matching at length %s" % (l,))
+    if not verify_bounded(hasse):
+        problems.append("unbounded matching at length %s" % (l,))
+
+
 def verify_sycamore(twist, lmax):
     """Check the twist bijection, Euler counts, and magnitude agreement.
 
@@ -458,61 +542,9 @@ def verify_sycamore(twist, lmax):
     )
     rev = twist.reverse()
     for l in lengths:
-        top_y = scaled_target(y, l)
-        crit_x = _by_dim(critical_cells(twist.x, l))
-        crit_y = _by_dim(critical_cells(twist.y, l))
-        images = {}
-        for k, cells in crit_x.items():
-            imgs = set()
-            stretched = unreversed = 0
-            for seq in cells:
-                img = sycamore_tau(twist, seq)
-                if scaled_length(y, img) != top_y:
-                    stretched += 1
-                elif sycamore_tau(rev, img) != seq:
-                    unreversed += 1
-                imgs.add(img)
-            if stretched:
-                problems.append(
-                    "length %s dim %d: %d twist images change length"
-                    % (l, k, stretched)
-                )
-            if unreversed:
-                problems.append(
-                    "length %s dim %d: reverse twist fails to invert %d cells"
-                    % (l, k, unreversed)
-                )
-            if len(imgs) != len(cells):
-                problems.append(
-                    "length %s dim %d: twist map is not injective" % (l, k)
-                )
-            images[k] = imgs
-        dims = sorted(set(crit_x) | set(crit_y) | set(images))
-        for k in dims:
-            cx = len(crit_x.get(k, ()))
-            cy = len(crit_y.get(k, ()))
-            same = images.get(k, set()) == crit_y.get(k, set())
-            rows.append((l, k, cx, cy, same and cx == cy))
-            if not (same and cx == cy):
-                problems.append(
-                    "length %s dim %d: %d cells vs %d" % (l, k, cx, cy)
-                )
-        for side, gspec, crit in (("x", twist.x, crit_x), ("y", twist.y, crit_y)):
-            cells = lightlike_simplices(gspec.space, l)
-            # a sequence of k + 1 points is a k-cell
-            alt_light = sum(1 if len(s) % 2 else -1 for s in cells)
-            alt_crit = sum((-1) ** k * len(v) for k, v in crit.items())
-            if alt_light != alt_crit:
-                problems.append(
-                    "length %s in %s: matched pairs fail to cancel in the "
-                    "Euler count, %d over all cells vs %d over critical ones"
-                    % (l, side, alt_light, alt_crit)
-                )
-            hasse = modified_hasse(cells, projecting_matching(gspec, l))
-            if not verify_acyclic(hasse):
-                problems.append("cyclic matching at length %s" % (l,))
-            if not verify_bounded(hasse):
-                problems.append("unbounded matching at length %s" % (l,))
+        alt_x, alt_y = _bijection_problems(twist, rev, l, rows, problems)
+        _side_problems("x", twist.x, l, alt_x, problems)
+        _side_problems("y", twist.y, l, alt_y, problems)
     mag_x = magnitude(x, lmax)
     mag_y = magnitude(y, lmax)
     if mag_x != mag_y:

@@ -1,17 +1,17 @@
 """Truncated generalized power series in q with rational exponents.
 
 A series is a finite map {exponent: coefficient} with both sides exact
-rationals, truncated above a required cutoff, the lmax it serves; sums
-and products keep the lower cutoff, and they are all the arithmetic the
-program needs.  A sum of many series (a weighting, the magnitude, an
-entry of a matrix product) collects its terms in one dict and builds one
-series at the end.  The similarity matrix is Z = I + N, where every
-entry of N has valuation at least the least positive distance, so
-X = Z^-1 is solved one exponent at a time by forward substitution on the
-space's scaled integer distances: every coefficient is an integer, and
-each entry becomes a series once, at the end.  euler_check certifies
-that inverse, Z X = I at the truncation, before comparing it with
-homology.
+rationals, truncated above a required cutoff, the lmax it serves.  A
+product keeps the lower cutoff, and a sum (a weighting, the magnitude, an
+entry of a matrix product) collects the terms of all its series in one
+dict and builds one series at the end, at the lowest cutoff; those are
+all the arithmetic the program needs.  The similarity matrix is
+Z = I + N, where every entry of N has valuation at least the least
+positive distance, so X = Z^-1 is solved one exponent at a time by
+forward substitution on the space's scaled integer distances: every
+coefficient is an integer, and each entry becomes a series once, at the
+end.  euler_check certifies that inverse, Z X = I at the truncation,
+before comparing it with homology.
 """
 
 from __future__ import annotations
@@ -58,13 +58,6 @@ class HahnPolynomial:
 
     def support(self):
         return sorted(self.terms)
-
-    def __add__(self, other):
-        trunc = min(self.truncation, other.truncation)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return HahnPolynomial(out, trunc)
 
     def __mul__(self, other):
         trunc = min(self.truncation, other.truncation)

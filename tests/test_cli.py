@@ -111,6 +111,29 @@ def test_homology_pair_selection(capsys):
     assert body == ["a b 2 1 -"]
 
 
+def test_homology_searches_lengths_up_to_the_first_pair_that_reaches_l(
+    capsys, monkeypatch
+):
+    calls = []
+    full = cli.pair_achievable_lengths
+
+    def counted(space, a, b, l):
+        calls.append((a, b))
+        return full(space, a, b, l)
+
+    monkeypatch.setattr(cli, "pair_achievable_lengths", counted)
+    # on the 4-cycle a c b d, length 1 leads from a to c and d only
+    code, out, _ = run(capsys, ["homology", "fixture:c4", "--l", "1", "--from", "a"])
+    assert code == 0
+    assert out.splitlines()[2:] == ["a c 1 1 -", "a d 1 1 -", "* * 1 2 -"]
+    assert calls == [(0, 0), (0, 1), (0, 2)]
+    # no pair reaches l: every pair is searched before the no-rows line
+    calls.clear()
+    code, out, _ = run(capsys, ["homology", "fixture:k3", "--l", "7/2"])
+    assert code == 0 and out.startswith("# no rows: length 7/2")
+    assert calls == [(a, b) for a in range(3) for b in range(3)]
+
+
 def test_homology_of_a_deep_sequence(capsys, tmp_path):
     # the one a -> a sequence of length 2 over steps of 1/1000 has 2001
     # points, far past the interpreter's recursion limit

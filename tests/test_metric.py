@@ -190,7 +190,9 @@ def assert_class_partition(gl):
     parts = [
         frozenset(p for p, c in enumerate(gl.classes) if c == k) for k in range(4)
     ]
-    assert parts == [gl.interior_g, gl.kset, gl.biased, gl.neutral]
+    kset = frozenset(gl.k_in_g)
+    interior_g = frozenset(range(gl.g.n)) - kset
+    assert parts == [interior_g, kset, gl.biased, gl.neutral]
     assert set(gl.gates) == gl.biased
 
 

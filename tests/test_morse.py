@@ -324,25 +324,31 @@ def test_lightlike_simplices_two_point():
     assert all(seq_length(x, s) == 1 for s in at1)
 
 
+def class_set(gspec, c):
+    """The glued points of class c: 0 interior g, 1 in K, 2 biased, 3 neutral."""
+    return frozenset(p for p, k in enumerate(gspec.classes) if k == c)
+
+
 def brute_sticky(gspec, seq):
     """Quadratic scan for a crossing run between a strict-g point and a
     biased point with only common points between them."""
+    interior_g, kset = class_set(gspec, 0), class_set(gspec, 1)
     for i in range(len(seq)):
         for j in range(i + 1, len(seq)):
-            if not all(seq[t] in gspec.kset for t in range(i + 1, j)):
+            if not all(seq[t] in kset for t in range(i + 1, j)):
                 continue
             a, b = seq[i], seq[j]
-            if a in gspec.interior_g and b in gspec.biased:
+            if a in interior_g and b in gspec.biased:
                 return True
-            if a in gspec.biased and b in gspec.interior_g:
+            if a in gspec.biased and b in interior_g:
                 return True
     return False
 
 
 def test_classification_matches_brute_force():
     gl = sycamore_gluing()
-    side_g = gl.interior_g | gl.kset | gl.neutral
-    side_h = gl.kset | gl.biased | gl.neutral
+    side_g = class_set(gl, 0) | class_set(gl, 1) | gl.neutral
+    side_h = class_set(gl, 1) | gl.biased | gl.neutral
     counts = {"sticky": 0, "flat": 0, "twistable": 0}
     for k in (1, 2, 3):
         for seq in product(range(gl.space.n), repeat=k):
@@ -370,20 +376,21 @@ def test_classification_matches_brute_force():
 def oracle_first_sticky(gspec, seq):
     """The two-loop scan over frozensets: from each strict-g or biased
     point, skip K to the next point and test the pair."""
+    interior_g, kset = class_set(gspec, 0), class_set(gspec, 1)
     k = len(seq)
     for i in range(k - 1):
         xi = seq[i]
-        if xi not in gspec.interior_g and xi not in gspec.biased:
+        if xi not in interior_g and xi not in gspec.biased:
             continue
         j = i + 1
-        while j < k and seq[j] in gspec.kset:
+        while j < k and seq[j] in kset:
             j += 1
         if j == k:
             continue
         xj = seq[j]
-        if xi in gspec.interior_g and xj in gspec.biased:
+        if xi in interior_g and xj in gspec.biased:
             return (i, j)
-        if xi in gspec.biased and xj in gspec.interior_g:
+        if xi in gspec.biased and xj in interior_g:
             return (i, j)
     return None
 
@@ -393,8 +400,9 @@ def oracle_classify(gspec, seq):
     last point outside K (g side) or in interior h (h side)."""
     if oracle_first_sticky(gspec, seq) is not None:
         return None
-    side_g = gspec.interior_g | gspec.kset | gspec.neutral
-    side_h = gspec.kset | gspec.biased | gspec.neutral
+    kset = class_set(gspec, 1)
+    side_g = class_set(gspec, 0) | kset | gspec.neutral
+    side_h = kset | gspec.biased | gspec.neutral
     interior_h = gspec.biased | gspec.neutral
     k = len(seq)
     pieces = []
@@ -413,7 +421,7 @@ def oracle_classify(gspec, seq):
             pieces.append((start, end))
             return tuple(pieces)
         if ok_g:
-            j = max(m for m in range(start, end + 1) if seq[m] not in gspec.kset)
+            j = max(m for m in range(start, end + 1) if seq[m] not in kset)
         else:
             j = max(m for m in range(start, end + 1) if seq[m] in interior_h)
         pieces.append((start, j))
@@ -574,8 +582,8 @@ def test_all_biased_gluing_twist():
         (Fraction(2), 1, 2, 2, True),
         (Fraction(2), 2, 16, 16, True),
     )
-    side_g = tw.x.interior_g | tw.x.kset
-    side_h = tw.x.kset | tw.x.biased
+    side_g = class_set(tw.x, 0) | class_set(tw.x, 1)
+    side_h = class_set(tw.x, 1) | tw.x.biased
     for l in (1, 2):
         for s in critical_cells(tw.x, l):
             one_sided = all(p in side_g for p in s) or all(p in side_h for p in s)
@@ -651,6 +659,81 @@ def test_uncancelled_euler_count_fails_even_under_optimize(monkeypatch):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("False length 3 in x: matched pairs fail")
+
+
+def test_problem_order_survives_per_side_checks(monkeypatch):
+    # a duplicated first cell breaks every Euler count, the second and
+    # third Hasse passes (y at length 0, x at length 1) report a cycle,
+    # 3-point cells get stretched images, and side y loses a critical cell
+    # at length 1, so only its Euler count there is off by two; the
+    # problems are pinned in the order the single-loop verifier gave them
+    tw = twist_from_doc(load_fixture("sycamore_twist"))
+    full = lightlike_simplices
+    monkeypatch.setattr(
+        morse, "lightlike_simplices", lambda sp, l: full(sp, l) + full(sp, l)[:1]
+    )
+    passes = []
+
+    def acyclic(hasse):
+        passes.append(len(hasse.cells))
+        return morse.AcyclicReport(len(passes) not in (2, 3))
+
+    monkeypatch.setattr(morse, "verify_acyclic", acyclic)
+    tau = morse.sycamore_tau
+    monkeypatch.setattr(
+        morse, "sycamore_tau",
+        lambda twist, seq: tau(twist, seq) + tau(twist, seq)[-2:-1] if len(seq) == 3
+        else tau(twist, seq),
+    )
+    crit = critical_cells
+    monkeypatch.setattr(
+        morse, "critical_cells",
+        lambda gspec, l: crit(gspec, l)[:-1] if gspec is tw.y and l == 1
+        else crit(gspec, l),
+    )
+    rep = verify_sycamore(tw, 3)
+    assert not rep
+    assert passes == [10, 10, 30, 30, 192, 188, 684, 676]
+    euler = "matched pairs fail to cancel in the Euler count"
+    assert rep.detail.split("; ") == [
+        "length 0 in x: %s, 11 over all cells vs 10 over critical ones" % euler,
+        "length 0 in y: %s, 11 over all cells vs 10 over critical ones" % euler,
+        "cyclic matching at length 0",
+        "length 1 dim 1: 30 cells vs 29",
+        "length 1 in x: %s, -31 over all cells vs -30 over critical ones" % euler,
+        "cyclic matching at length 1",
+        "length 1 in y: %s, -31 over all cells vs -29 over critical ones" % euler,
+        "length 2 dim 2: 126 twist images change length",
+        "length 2 dim 2: 126 cells vs 126",
+        "length 2 in x: %s, 77 over all cells vs 76 over critical ones" % euler,
+        "length 2 in y: %s, 77 over all cells vs 76 over critical ones" % euler,
+        "length 3 dim 2: 232 twist images change length",
+        "length 3 dim 2: 232 cells vs 232",
+        "length 3 in x: %s, -169 over all cells vs -168 over critical ones" % euler,
+        "length 3 in y: %s, -169 over all cells vs -168 over critical ones" % euler,
+    ]
+
+
+def test_each_matched_pair_is_derived_once(monkeypatch):
+    # the involution check ties a pair's two halves, so the second half
+    # is skipped: two partner computations per pair, not four
+    calls = []
+    full = morse._partner_sequence
+
+    def counted(gspec, seq, sticky):
+        calls.append(seq)
+        return full(gspec, seq, sticky)
+
+    monkeypatch.setattr(morse, "_partner_sequence", counted)
+    tw = twist_from_doc(load_fixture("sycamore_twist"))
+    pairs = []
+    for gspec in (tw.x, tw.y):
+        for l in achievable_lengths(gspec.space, 4):
+            pairs.extend(projecting_matching(gspec, l))
+    assert len(pairs) == 540
+    assert len(calls) == 2 * len(pairs)
+    # one call from each pair's first half, one from its other half
+    assert set(calls) == {s for pair in pairs for s in pair}
 
 
 DROP_MATCHED_PAIR = """

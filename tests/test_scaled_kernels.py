@@ -5,7 +5,9 @@ the kernels compare integers.  The Fraction versions below are the kernels
 as they were before that change; they stay here as oracles and are
 compared exactly, order included, on seeded random spaces.  The relative
 order complexes among them take Fraction-timed CausalPoints as vertices,
-where the program takes (scaled integer time, point) pairs.
+where the program takes (scaled integer time, point) pairs.  The step
+table with every row built at once is kept the same way, as the oracle of
+the rows walks builds on first use.
 """
 
 import dataclasses
@@ -30,8 +32,10 @@ from magtop.causal import (
     order_complex_pair,
     pair_achievable_lengths,
     seq_time_stamps,
+    _step_table,
     walks,
 )
+from magtop.cli import _pair_homology, _run_tasks
 from magtop.frames import FourCutObstruction, _frame_steps, singular_sequences, thin_frames
 from magtop.homology import verify_chain_iso, verify_suspension_shift
 from magtop.metric import (
@@ -242,6 +246,16 @@ def triangle_witness_fraction(labels, d):
                 if d[i][k] > d[i][j] + d[j][k]:
                     return (labels[i], labels[j], labels[k])
     return None
+
+
+def step_table_eager(space, b):
+    """The step table toward b with every point's row built up front."""
+    d = space._scaled[1]
+    to_end = d[b] if b is not None else [0] * space.n  # d is symmetric
+    return tuple(
+        tuple(sorted((step + to_end[y], y, step) for y, step in enumerate(row) if y != x))
+        for x, row in enumerate(d)
+    )
 
 
 # -- cases ------------------------------------------------------------------------
@@ -494,3 +508,58 @@ def test_cached_scale_is_invisible_to_equality_hash_and_repr():
     assert lightlike_sequences(fresh, 0, 1, l) == expected
     other = random_metric_space(5, 4, 6)
     assert used != other
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("den_max", [1, 6, 997])
+def test_rows_built_on_first_use_match_eager_table(n, den_max):
+    space = random_metric_space(n, n + den_max, den_max)
+    rng = random.Random(n * den_max)
+    for b in [*range(n), None]:
+        eager = step_table_eager(space, b)
+        table = _step_table(space, b)
+        assert not table and _step_table(space, b) is table
+        order = list(range(n))
+        rng.shuffle(order)
+        for x in order:
+            assert table[x] == eager[x], (b, x)
+            assert table[x] is table[x]  # built once, then looked up
+        assert sorted(table) == list(range(n))
+    # a walk of length d(a, b) < 2 between points at least 1 apart has no
+    # room for a middle point, so it reads the row of a alone
+    for a in range(n):
+        for b in range(n):
+            if a != b and space.dist[a][b] < 2:
+                fresh = MetricSpace(space.labels, space.dist)
+                assert walks(fresh, a, space.dist[a][b], b) == [(a, b)]
+                assert list(fresh._steps[b]) == [a]
+
+
+def test_partly_built_tables_survive_pickling_and_processes():
+    space = random_metric_space(5, 8, 6)
+    d01 = space.dist[0][1]
+    assert d01 < 2 and walks(space, 0, d01, 1) == [(0, 1)]
+    nearest = min(space.dist[2][y] for y in range(space.n) if y != 2)
+    assert walks(space, 2, nearest)  # one step from 2: row 2 alone
+    built = {b: dict(t) for b, t in space._steps.items()}
+    assert built == {1: {0: step_table_eager(space, 1)[0]},
+                     None: {2: step_table_eager(space, None)[2]}}
+    copy = pickle.loads(pickle.dumps(space))
+    assert {b: dict(t) for b, t in copy._steps.items()} == built
+    fresh = MetricSpace(space.labels, space.dist)
+    lengths = achievable_lengths(space, 3)
+    for l in lengths:
+        for a in range(space.n):
+            assert walks(copy, a, l) == walks(fresh, a, l), (a, l)
+            for b in range(space.n):
+                assert walks(copy, a, l, b) == walks(fresh, a, l, b), (a, b, l)
+    # what --jobs 2 does: every task pickles the partly built space
+    space = random_metric_space(5, 8, 6)
+    walks(space, 0, d01, 1)
+    fresh = MetricSpace(space.labels, space.dist)
+    l = lengths[len(lengths) // 2]
+    pairs = [(a, b) for a in range(space.n) for b in range(space.n)]
+    serial = _run_tasks(_pair_homology, [(fresh, a, b, l) for a, b in pairs], 1)
+    tasks = [(space, a, b, l) for a, b in pairs]
+    assert _run_tasks(_pair_homology, tasks, 2) == serial
+    assert any(summary.betti for _, _, summary in serial)
