@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands parse space documents and run the exact computations.  Each
-returns (exit code, JSON document, table lines) and prints nothing;
-main prints the one form --format asks for once the command has
-returned, so a run that fails prints no partial result.  Exit codes are
-part of the contract: 0 pass, 1 check mismatch, 2 parse problem,
-3 metric-axiom violation, 4 unresolvable label, 5 hypothesis unmet,
-70 internal fault (a check on the program's own work failed, or an
-exception nothing maps escaped, so no verdict is printed), 141 output
-closed early.
+returns (exit code, JSON document, table lines) and prints nothing; the
+table lines are a lazy iterable that formats the document as it is read.
+main prints the one form --format asks for as it is made, once the
+command has returned, so a fault while computing prints no partial
+result.  Exit codes are part of the contract: 0 pass, 1 check mismatch,
+2 parse problem, 3 metric-axiom violation, 4 unresolvable label,
+5 hypothesis unmet, 70 internal fault (a check on the program's own
+work failed, or an exception nothing maps escaped, so no verdict is
+printed), 141 output closed early.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 from collections import Counter
-from itertools import chain
+from itertools import chain, groupby
 
 from .causal import (
     InvalidLength,
@@ -116,10 +117,6 @@ def _length_arg(text):
     return value
 
 
-def _torsion_text(factors):
-    return ",".join(str(f) for f in factors) if factors else "-"
-
-
 def _stamped_text(space, stamped):
     return " ".join(
         "%s:%s" % (space.labels[p], format_rational(t)) for t, p in stamped
@@ -140,7 +137,7 @@ def _verdict(args, ok, fields, header, lines=(), detail=""):
     detail.
     """
     verdict = "PASS" if ok else "FAIL"
-    table = [header, *lines, verdict + ": " + detail if detail else verdict]
+    table = chain([header], lines, [verdict + ": " + detail if detail else verdict])
     code = PASS_CODE if ok else MISMATCH_CODE
     return code, dict(fields, check=args.check, ok=ok), table
 
@@ -152,21 +149,23 @@ def _rows_verdict(args, report, header, degree, left, right):
         {"l": format_rational(l), "k": k, left: cl, right: cr, "ok": same}
         for l, k, cl, cr, same in report.rows
     ]
-    lines = [
+    lines = (
         "l=%s %s=%d: %d vs %d %s"
-        % (format_rational(l), degree, k, cl, cr, "ok" if same else "MISMATCH")
-        for l, k, cl, cr, same in report.rows
-    ]
+        % (r["l"], degree, r["k"], r[left], r[right], "ok" if r["ok"] else "MISMATCH")
+        for r in rows
+    )
     fields = {"rows": rows, "detail": report.detail}
     return _verdict(args, report.ok, fields, header, lines, report.detail)
 
 
 def _run_tasks(worker, tasks, jobs):
-    if jobs > 1 and len(tasks) > 1:
+    # a forking pool starts every worker at once: no more than tasks or cores
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: a single-process run never pays for the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks))
     return [worker(task) for task in tasks]
 
@@ -191,18 +190,31 @@ def _pair_check(task):
     return a, b, l, ok, detail
 
 
+def _groups(s):
+    """The nonzero groups of homology summary s, by degree."""
+    return [
+        {"k": k, "betti": s.betti_at(k), "torsion": [str(f) for f in s.torsion_at(k)]}
+        for k in sorted(set(s.betti_map()) | set(s.torsion_map()))
+    ]
+
+
+def _group_line(a, b, group):
+    torsion = ",".join(group["torsion"]) or "-"
+    return "%s %s %d %d %s" % (a, b, group["k"], group["betti"], torsion)
+
+
 def cmd_magnitude(args):
     space = _load_space(args.input, args.seed)
     lmax = _length_arg(args.lmax)
     series = format_series(magnitude(space, lmax))
-    weights = [format_series(w) for w in weighting(space, lmax)]
+    weights = map(format_series, weighting(space, lmax))
     doc = {
         "lmax": format_rational(lmax),
         "magnitude": series,
         "weighting": dict(zip(space.labels, weights)),
     }
     lines = ["Mag = %s" % series]
-    lines += ["w(%s) = %s" % pair for pair in zip(space.labels, weights)]
+    lines += ["w(%s) = %s" % pair for pair in doc["weighting"].items()]
     return PASS_CODE, doc, lines
 
 
@@ -220,44 +232,26 @@ def cmd_homology(args):
     tasks = [(space, a, b, l) for a, b in pairs]
     results = _run_tasks(_pair_homology, tasks, args.jobs)
     results.sort(key=lambda r: (r[0], r[1]))
-    rows = [
-        (space.labels[a], space.labels[b], k, s.betti_at(k), s.torsion_at(k))
-        for a, b, s in results
-        for k in sorted(set(s.betti_map()) | set(s.torsion_map()))
-    ]
     total = HomologySummary()
     for _, _, summary in results:
         total = total.plus(summary)
-    total_rows = [
-        (k, total.betti_at(k), total.torsion_at(k))
-        for k in sorted(set(total.betti_map()) | set(total.torsion_map()))
-    ]
     doc = {
         "l": format_rational(l),
         "rows": [
-            {
-                "from": a,
-                "to": b,
-                "k": k,
-                "betti": r,
-                "torsion": [str(f) for f in f_list],
-            }
-            for a, b, k, r, f_list in rows
+            {"from": space.labels[a], "to": space.labels[b], **group}
+            for a, b, summary in results
+            for group in _groups(summary)
         ],
-        "total": [
-            {"k": k, "betti": r, "torsion": [str(f) for f in f_list]}
-            for k, r, f_list in total_rows
-        ],
+        "total": _groups(total),
     }
-    lines = ["# homology at length %s" % format_rational(l)]
-    if not rows:
-        lines.append("# all groups vanish for the selected pairs")
-        return PASS_CODE, doc, lines
-    lines.append("# from to k betti torsion")
-    for a, b, k, r, f_list in rows:
-        lines.append("%s %s %d %d %s" % (a, b, k, r, _torsion_text(f_list)))
-    for k, r, f_list in total_rows:
-        lines.append("* * %d %d %s" % (k, r, _torsion_text(f_list)))
+    head = "# homology at length %s" % doc["l"]
+    if not doc["rows"]:
+        return PASS_CODE, doc, [head, "# all groups vanish for the selected pairs"]
+    lines = chain(
+        [head, "# from to k betti torsion"],
+        (_group_line(g["from"], g["to"], g) for g in doc["rows"]),
+        (_group_line("*", "*", g) for g in doc["total"]),
+    )
     return PASS_CODE, doc, lines
 
 
@@ -272,27 +266,28 @@ def cmd_critical_cells(args):
     gspec = gluing_from_doc(_load_document(args.input))
     l = _length_arg(args.l)
     space = gspec.space
+
+    def stamp_order(s):  # a cell's (t, point) pairs, flattened into one tuple
+        return tuple(chain.from_iterable(_stamps(space, s)))
+
     found = critical_cells(gspec, l)
-    # in stamp order: the (t, point) pairs of a cell, flattened into one tuple
-    found.sort(key=lambda s: tuple(chain.from_iterable(_stamps(space, s))))
-    by_dim = {}
-    for s in found:  # each cell's stamps live only while it is formatted
-        by_dim.setdefault(len(s) - 1, []).append(
+    found.sort(key=len)
+    cells = {}
+    for n, group in groupby(found, len):  # one dimension's sort keys at a time
+        # each cell's stamps live only while it is formatted
+        cells[str(n - 1)] = [
             _stamped_text(space, seq_time_stamps(space, s))
-        )
-    by_dim = dict(sorted(by_dim.items()))
-    doc = {
-        "l": format_rational(l),
-        "total": len(found),
-        "cells": {str(k): texts for k, texts in by_dim.items()},
-    }
-    lines = [
-        "# critical cells at length %s: %d" % (format_rational(l), len(found))
-    ]
-    for k, texts in by_dim.items():
-        lines.append("dim %d: %d" % (k, len(texts)))
-        lines += ["  " + text for text in texts]
-    return PASS_CODE, doc, lines
+            for s in sorted(group, key=stamp_order)
+        ]
+    doc = {"l": format_rational(l), "total": len(found), "cells": cells}
+
+    def table():
+        yield "# critical cells at length %s: %d" % (doc["l"], doc["total"])
+        for k, texts in doc["cells"].items():
+            yield "dim %s: %d" % (k, len(texts))
+            yield from ("  " + text for text in texts)
+
+    return PASS_CODE, doc, table()
 
 
 def cmd_frames(args):
@@ -304,32 +299,32 @@ def cmd_frames(args):
         a = space.index(args.from_label)
         b = space.index(args.to_label)
         found = sorted(singular_sequences(space, a, b, l))
-        frames = [[space.labels[p] for p in pts] for pts in found]
         prediction = framed_betti_prediction(space, a, b, l)
         doc = {
             "l": format_rational(l),
-            "frames": frames,
+            "frames": [[space.labels[p] for p in pts] for pts in found],
             "prediction": {str(k): r for k, r in prediction.items()},
         }
-        lines = [
-            "# %d frames from %s to %s at length %s"
-            % (len(found), args.from_label, args.to_label, format_rational(l))
-        ]
-        lines += [" ".join(labels) for labels in frames]
-        lines.append("# predicted betti")
-        lines += ["k=%d: %d" % kr for kr in prediction.items()] or ["none"]
+        head = "# %d frames from %s to %s at length %s"
+        lines = chain(
+            [head % (len(found), args.from_label, args.to_label, doc["l"])],
+            (" ".join(labels) for labels in doc["frames"]),
+            ["# predicted betti"],
+            ["k=%s: %d" % kr for kr in doc["prediction"].items()] or ["none"],
+        )
         return PASS_CODE, doc, lines
     found = sorted(thin_frames(space, l))
-    thin = [[space.labels[p] for p in pts] for pts in found]
     by_degree = sorted(Counter(len(pts) - 1 for pts in found).items())
     doc = {
         "l": format_rational(l),
-        "thin": thin,
+        "thin": [[space.labels[p] for p in pts] for pts in found],
         "degrees": {str(k): c for k, c in by_degree},
     }
-    lines = ["# %d thin frames at length %s" % (len(found), format_rational(l))]
-    lines += ["degree %d: %d" % kc for kc in by_degree]
-    lines += [" ".join(labels) for labels in thin]
+    lines = chain(
+        ["# %d thin frames at length %s" % (len(doc["thin"]), doc["l"])],
+        ("degree %s: %d" % kc for kc in doc["degrees"].items()),
+        (" ".join(labels) for labels in doc["thin"]),
+    )
     return PASS_CODE, doc, lines
 
 
@@ -382,7 +377,7 @@ def _verify_pairwise(args, space, lmax):
         "length %s: %d cases" % (format_rational(l), by_length[l])
         for l in sorted(by_length)
     ]
-    lines += ["FAIL at %s" % line for line in failures]
+    lines = chain(lines, ("FAIL at %s" % line for line in failures))
     return _verdict(
         args,
         not failures,
@@ -421,11 +416,11 @@ def cmd_verify(args):
                 for l, a, b, coeff, chi in report.mismatches
             ],
         }
-        lines = [
+        lines = (
             "FAIL at (%s,%s) length %s: coefficient %s vs euler %d"
-            % (a, b, format_rational(l), coeff, chi)
-            for l, a, b, coeff, chi in report.mismatches
-        ]
+            % (a, b, l, coeff, chi)
+            for l, a, b, coeff, chi in fields["mismatches"]
+        )
         header = "# euler: %d coefficients checked" % report.checked
         return _verdict(args, report.ok, fields, header, lines)
     if args.check in ("union", "mv"):
@@ -462,8 +457,8 @@ def _add_common(sub, jobs=False):
     )
     if jobs:
         sub.add_argument(
-            "--jobs", type=_jobs_arg, default=1,
-            help="worker processes for per-pair work",
+            "--jobs", type=_jobs_arg, default=1, metavar="N",
+            help="at most N worker processes for per-pair work",
         )
 
 
@@ -544,6 +539,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         code, doc, lines = args.func(args)
+        if args.format == "json":
+            json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
+        else:
+            for line in lines:
+                print(line)
+    except BrokenPipeError:
+        raise  # entry maps a closed reader to 141
     except DocumentError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return PARSE_CODE
@@ -566,10 +569,6 @@ def main(argv=None):
         # any other escape is a defect too; exit 1 would read as a verdict
         print("internal fault: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return FAULT_CODE
-    if args.format == "json":
-        lines = [json.dumps(doc, indent=2, sort_keys=True)]
-    for line in lines:
-        print(line)
     return code
 
 

@@ -28,6 +28,9 @@ def parse_rational(value):
         raise DocumentError("decimal notation is not accepted: %r" % (value,))
     if isinstance(value, str):
         body = value.strip()
+        # int() also reads "1_0" and non-ASCII digits such as "١"
+        if not body.isascii() or "_" in body:
+            raise DocumentError("bad rational %r" % (value,))
         parts = body.split("/")
         try:
             if len(parts) == 1:

@@ -436,6 +436,15 @@ MALFORMED = {
     # "²" passes str.isdigit, and int refuses it
     "random-superscript-count": (["lengths", "random:\u00b2", "--lmax", "1"], b"", 2, "positive point count"),
     "int-past-limit": (["lengths", "DOC", "--lmax", "1"], _long_int_matrix(), 2, "invalid JSON"),
+    # int() reads "1_0" as 10 and the Arabic-Indic "١" as 1
+    "rational-underscore-arg": (["lengths", "fixture:k3", "--lmax", "1_0"], b"", 2, "bad rational"),
+    "rational-non-ascii-arg": (["lengths", "fixture:k3", "--lmax", "\u0661"], b"", 2, "bad rational"),
+    "rational-underscore-matrix": (
+        ["lengths", "DOC", "--lmax", "1"],
+        b'{"type": "matrix", "labels": ["a", "b"], "dist": [[0, "1_0"], ["1_0", 0]]}',
+        2,
+        "bad rational",
+    ),
 }
 
 
@@ -477,6 +486,27 @@ def test_closed_stdout_exits_quietly(unbuffered):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.PIPE_CODE
+    assert err == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_stdout_closed_mid_table_exits_quietly(unbuffered):
+    # 345 KB of table outgrow the pipe's buffer, so once the reader has
+    # closed after the first line a later write fails while printing
+    src = os.path.dirname(os.path.dirname(magtop.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    argv = ["critical-cells", "fixture:sycamore_gluing", "--l", "5"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "magtop.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"# critical cells at length 5: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.PIPE_CODE
     assert err == b""
 
 
@@ -634,6 +664,52 @@ def test_unmapped_exception_names_its_type(capsys, monkeypatch):
     assert code == cli.FAULT_CODE
     assert out == ""
     assert err == "internal fault: NotAMatching: stub\n"
+
+
+def test_rendering_fault_exit_code(capsys, monkeypatch):
+    # the table is formatted while it prints: a fault there is a defect as
+    # well, and the lines printed before it stay
+    def boom(*args):
+        raise KeyError("stub")
+
+    monkeypatch.setattr(cli, "_group_line", boom)
+    code, out, err = run(capsys, ["homology", "fixture:c4", "--l", "2"])
+    assert code == cli.FAULT_CODE
+    assert out == "# homology at length 2\n# from to k betti torsion\n"
+    assert err == "internal fault: KeyError: 'stub'\n"
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [("5000", 4, 4), ("5000", 64, 9), ("2", 64, 2), ("5000", 1, None), ("5000", None, None)],
+)
+def test_jobs_bound_the_pool(capsys, monkeypatch, jobs, cpus, workers):
+    # a forking pool starts all of its workers at the first submit, so it
+    # gets no more than the 9 pair tasks of k3 and the CPUs; the fake pool
+    # records its size and maps in this process, so no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ["homology", "fixture:k3", "--l", "2"]
+    serial = run(capsys, argv)
+    assert run(capsys, argv + ["--jobs", jobs]) == serial
+    assert sizes == ([] if workers is None else [workers])
 
 
 def test_verify_json_format(capsys):
