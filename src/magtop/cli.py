@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from collections import Counter
-from itertools import chain, groupby
+from itertools import chain
 
 from .causal import (
     InvalidLength,
@@ -159,6 +159,7 @@ def _rows_verdict(args, report, header, degree, left, right):
 
 
 def _run_tasks(worker, tasks, jobs):
+    """worker's results on tasks, in task order, from up to jobs processes."""
     # a forking pool starts every worker at once: no more than tasks or cores
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -231,7 +232,6 @@ def cmd_homology(args):
         return PASS_CODE, doc, [line]
     tasks = [(space, a, b, l) for a, b in pairs]
     results = _run_tasks(_pair_homology, tasks, args.jobs)
-    results.sort(key=lambda r: (r[0], r[1]))
     total = HomologySummary()
     for _, _, summary in results:
         total = total.plus(summary)
@@ -270,16 +270,20 @@ def cmd_critical_cells(args):
     def stamp_order(s):  # a cell's (t, point) pairs, flattened into one tuple
         return tuple(chain.from_iterable(_stamps(space, s)))
 
-    found = critical_cells(gspec, l)
-    found.sort(key=len)
+    by_len = {}
+    for s in critical_cells(gspec, l):
+        by_len.setdefault(len(s), []).append(s)
+    total = sum(map(len, by_len.values()))
     cells = {}
-    for n, group in groupby(found, len):  # one dimension's sort keys at a time
-        # each cell's stamps live only while it is formatted
+    for n in sorted(by_len):
+        # one dimension's cells at a time, each cell's stamps only while it
+        # is formatted; a bucket dies once its texts are built
+        group = by_len.pop(n)
+        group.sort(key=stamp_order)
         cells[str(n - 1)] = [
-            _stamped_text(space, seq_time_stamps(space, s))
-            for s in sorted(group, key=stamp_order)
+            _stamped_text(space, seq_time_stamps(space, s)) for s in group
         ]
-    doc = {"l": format_rational(l), "total": len(found), "cells": cells}
+    doc = {"l": format_rational(l), "total": total, "cells": cells}
 
     def table():
         yield "# critical cells at length %s: %d" % (doc["l"], doc["total"])

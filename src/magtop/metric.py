@@ -305,8 +305,9 @@ class GluingSpec:
     The glued point list keeps all of g first, then the h points outside
     the image of K; points of K are identified with their g copies.
     Interior-h points are classified by whether they see all of K through
-    a single gate in K (biased) or not (neutral).  classes holds one small
-    int per glued point: 0 interior g, 1 in K, 2 biased, 3 neutral.
+    a single gate in K (biased) or not (neutral).  classes, one small int
+    per glued point, is the only record of that split: 0 interior g,
+    1 in K, 2 biased, 3 neutral.
     """
 
     g: MetricSpace
@@ -315,8 +316,6 @@ class GluingSpec:
     k_in_h: tuple
     space: MetricSpace
     h_to_x: tuple
-    biased: frozenset
-    neutral: frozenset
     gates: dict  # biased glued index -> glued index of its gate in K
     classes: tuple
 
@@ -397,8 +396,6 @@ def glue(g, h, k_in_g, k_in_h):
         k_in_h=k_in_h,
         space=space,
         h_to_x=h_to_x,
-        biased=frozenset(gates),
-        neutral=frozenset(p for p, c in enumerate(classes) if c == 3),
         gates=gates,
         classes=tuple(classes),
     )

@@ -15,8 +15,8 @@ every sequence that crosses from one side to the other through the common
 part with a partner obtained by inserting or deleting a gate point, and
 its unmatched full-length sequences are exactly the ones decomposable
 into one-sided pieces.  classify_sequence returns those pieces as
-(start, end) index pairs, or None for a sticky sequence; it and the
-sticky scan read the gluing's per-point class tuple, never its point sets.
+(start, end) index pairs, or None for a sticky sequence, in one scan of
+the gluing's per-point class tuple, as the sticky scan does.
 
 verify_sycamore holds one length's work at a time, and of it one step at
 a time: first the critical cells of both sides and the twist images, then
@@ -229,46 +229,34 @@ def classify_sequence(gspec, seq):
     in K.  Pieces overlap in single concatenation points, each of which
     lies in the neutral part of interior h; a fully one-sided sequence is a
     single piece.  A g-side piece avoids the biased points and an h-side
-    piece avoids interior g.
+    piece avoids interior g.  One scan over the points outside K finds
+    both the sticky runs and the cuts.
     """
-    seq = tuple(seq)
-    cls = [gspec.classes[p] for p in seq]
-    k = len(seq)
-    if 0 not in cls or 2 not in cls:  # on one side, so neither sticky nor cut
-        return ((0, k - 1),)
-    if _first_sticky(gspec, seq) is not None:
-        return None
+    classes = gspec.classes
     pieces = []
     start = 0
-    while True:
-        ok_g = True
-        ok_h = True
-        end = start
-        for m in range(start, k):
-            in_g = ok_g and cls[m] != 2
-            in_h = ok_h and cls[m] != 0
-            if not in_g and not in_h:
-                break
-            ok_g, ok_h = in_g, in_h
-            end = m
-        if end == k - 1:
-            pieces.append((start, end))
-            return tuple(pieces)
-        # prefix maximal and strictly one-sided at a proper split
-        assert ok_g != ok_h, "ambiguous maximal prefix cannot end properly"
-        # the piece is cut at its last point outside K
-        j = max(m for m in range(start, end + 1) if cls[m] != 1)
-        assert cls[j] == 3, "split point must be neutral when sticky-free"
-        assert j > start, "decomposition must make progress"
-        pieces.append((start, j))
-        start = j
+    side = None  # the current piece's side: 0 inside g, 2 biased
+    for m, p in enumerate(seq):
+        c = classes[p]
+        if c == 1:
+            continue
+        if c != 3:
+            if c != side and side is not None:
+                if last != 3:  # last is of the current side: a sticky run
+                    return None
+                pieces.append((start, cut))  # the pieces meet at a neutral point
+                start = cut
+            side = c
+        last, cut = c, m  # the last point outside K, by class and index
+    pieces.append((start, len(seq) - 1))
+    return tuple(pieces)
 
 
 def _partner_sequence(gspec, seq, sticky):
     """Partner of a sticky sequence: (face seq, coface seq) under gate moves,
     with sticky its first sticky run (i, j) from _first_sticky."""
     i, j = sticky
-    if seq[i] in gspec.biased:
+    if gspec.classes[seq[i]] == 2:
         e, inner = i, i + 1
         gate = gspec.gates.get(seq[i])
     else:
@@ -367,7 +355,7 @@ class SycamoreTwist:
     move along the inverse twist, interior points stay.
     """
 
-    __slots__ = ("g", "h", "k_in_g", "k_in_h", "alpha", "x", "y", "tau_h")
+    __slots__ = ("alpha", "x", "y", "tau_h")
 
     def __init__(self, g, h, k_in_g, k_in_h, alpha):
         alpha = tuple(alpha)
@@ -398,10 +386,6 @@ class SycamoreTwist:
                         )
                     )
         assert x.classes == y.classes, "twist changed the biased/neutral split"
-        self.g = g
-        self.h = h
-        self.k_in_g = tuple(k_in_g)
-        self.k_in_h = tuple(k_in_h)
         self.alpha = alpha
         self.x = x
         self.y = y
@@ -415,8 +399,9 @@ class SycamoreTwist:
         inv = [0] * len(self.alpha)
         for t, s in enumerate(self.alpha):
             inv[s] = t
-        k_in_h = tuple(self.k_in_h[s] for s in self.alpha)
-        return SycamoreTwist(self.g, self.h, self.k_in_g, k_in_h, inv)
+        x = self.x
+        k_in_h = tuple(x.k_in_h[s] for s in self.alpha)
+        return SycamoreTwist(x.g, x.h, x.k_in_g, k_in_h, inv)
 
 
 def sycamore_tau(twist, seq):

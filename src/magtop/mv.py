@@ -40,12 +40,12 @@ class NotGated:
 def check_gated(gspec):
     """The refusal when some interior point is neutral, None when the
     gluing is gated."""
-    if gspec.neutral:
-        glued = min(gspec.neutral)
-        label = gspec.space.labels[glued]
+    neutral = [p for p, c in enumerate(gspec.classes) if c == 3]
+    if neutral:
+        label = gspec.space.labels[neutral[0]]
         return NotGated(
             witness=label,
-            detail="%d neutral interior points, e.g. %s" % (len(gspec.neutral), label),
+            detail="%d neutral interior points, e.g. %s" % (len(neutral), label),
         )
     return None
 

@@ -264,8 +264,6 @@ def euler_check(space, lmax):
             lengths = set(entry.support())
             lengths.update(pair_achievable_lengths(space, a, b, lmax))
             for l in sorted(lengths):
-                if l > lmax:
-                    continue
                 chi = homology(magnitude_chain_complex(space, a, b, l)).euler()
                 coeff = entry.coefficient(l)
                 checked += 1

@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 import magtop
-from magtop import cli
-from magtop.series import EulerReport
+from magtop import cli, morse
+from magtop.homology import ChainComplex, HomologySummary, face_complex
+from magtop.series import EulerReport, HahnPolynomial
 
 
 def run(capsys, argv):
@@ -399,10 +400,14 @@ def test_exit_parse_errors(capsys, tmp_path):
         assert "error: argument --jobs" in capsys.readouterr().err
 
 
-def _short_k_twist():
-    doc = magtop.load_fixture("sycamore_twist")
-    doc["k_in_h"] = doc["k_in_h"][:1]
-    return json.dumps(doc)
+def _edited(fixture, **fields):
+    """The fixture's document with the given fields replaced, as bytes."""
+    return json.dumps(dict(magtop.load_fixture(fixture), **fields)).encode()
+
+
+def _matrix(dist):
+    """A two-point matrix document with the given distance rows, as bytes."""
+    return json.dumps({"type": "matrix", "labels": ["a", "b"], "dist": dist}).encode()
 
 
 def _long_int_matrix():
@@ -410,6 +415,8 @@ def _long_int_matrix():
     big = "1" * (sys.get_int_max_str_digits() + 1)
     return ('{"type": "matrix", "labels": ["a", "b"], "dist": [[0, %s], [%s, 0]]}' % (big, big)).encode()
 
+
+LENGTHS = ["lengths", "DOC", "--lmax", "1"]
 
 # malformed inputs: (argv with DOC for the document's path, its bytes,
 # exit code, a phrase of the error line)
@@ -429,7 +436,7 @@ MALFORMED = {
     "deep-nesting": (["lengths", "DOC", "--lmax", "1"], b"[" * 100000 + b"]" * 100000, 2, "nests too deeply"),
     "twist-short-k-in-h": (
         ["verify", "sycamore", "DOC", "--lmax", "1"],
-        _short_k_twist().encode(),
+        _edited("sycamore_twist", k_in_h=["p"]),
         3,
         "K index lists differ in length",
     ),
@@ -444,6 +451,72 @@ MALFORMED = {
         b'{"type": "matrix", "labels": ["a", "b"], "dist": [[0, "1_0"], ["1_0", 0]]}',
         2,
         "bad rational",
+    ),
+    "rational-boolean": (LENGTHS, _matrix([[0, True], [True, 0]]), 2, "booleans are not numbers"),
+    "rational-decimal": (LENGTHS, _matrix([[0, 1.5], [1.5, 0]]), 2, "decimal notation"),
+    "rational-zero-denominator": (LENGTHS, _matrix([[0, "1/0"], ["1/0", 0]]), 2, "bad rational '1/0'"),
+    "rational-two-slashes": (LENGTHS, _matrix([[0, "1/2/3"], ["1/2/3", 0]]), 2, "bad rational '1/2/3'"),
+    "rational-object": (LENGTHS, _matrix([[0, {}], [{}, 0]]), 2, "bad rational {}"),
+    "matrix-no-dist": (LENGTHS, b'{"type": "matrix", "labels": ["a"]}', 2, "matrix document needs 'dist'"),
+    "space-list": (LENGTHS, b"[]", 2, "space document must be an object"),
+    "matrix-int-labels": (
+        LENGTHS, b'{"type": "matrix", "labels": [1, 2], "dist": []}', 2, "labels must be strings"
+    ),
+    "matrix-flat-dist": (
+        LENGTHS, b'{"type": "matrix", "labels": ["a"], "dist": [0]}', 2, "dist must be a list of rows"
+    ),
+    "graph-int-vertices": (
+        LENGTHS, b'{"type": "graph", "vertices": [1], "edges": []}', 2, "vertices must be strings"
+    ),
+    "graph-short-edge": (
+        LENGTHS,
+        b'{"type": "graph", "vertices": ["a", "b"], "edges": [["a", "b"]]}',
+        2,
+        "edge must be [u, v, weight]",
+    ),
+    "graph-int-endpoint": (
+        LENGTHS,
+        b'{"type": "graph", "vertices": ["a", "b"], "edges": [[1, "b", 1]]}',
+        2,
+        "edge endpoints must be labels",
+    ),
+    "space-unknown-type": (LENGTHS, b'{"type": "tree"}', 2, "unknown space document type 'tree'"),
+    "gluing-k-not-list": (
+        ["verify", "mv", "DOC", "--lmax", "1"], _edited("mv_triangles", k_in_g="p"), 2, "k_in_g must be a label list"
+    ),
+    "twist-alpha-booleans": (
+        ["verify", "sycamore", "DOC", "--lmax", "1"],
+        _edited("sycamore_twist", alpha=[True, False]),
+        2,
+        "alpha must be a list of positions",
+    ),
+    "complex-facets-not-lists": (
+        ["hasse", "DOC"], b'{"type": "complex", "facets": ["ab"]}', 2, "facets must be a list of vertex lists"
+    ),
+    "complex-int-vertex": (
+        ["hasse", "DOC"], b'{"type": "complex", "facets": [[1, 2]]}', 2, "facet vertices must be strings"
+    ),
+    "complex-repeated-vertex": (
+        ["hasse", "DOC"], b'{"type": "complex", "facets": [["a", "a"]]}', 2, "bad facet list"
+    ),
+    "complex-no-facets": (["hasse", "DOC"], b'{"type": "complex", "facets": []}', 2, "bad facet list"),
+    "complex-0hat-vertex": (
+        ["hasse", "DOC"], b'{"type": "complex", "facets": [["0hat", "b"]]}', 2, "bad facet list"
+    ),
+    "matrix-not-square": (LENGTHS, _matrix([[0, 1], [1]]), 3, "shape does not match label count"),
+    "matrix-nonzero-diagonal": (LENGTHS, _matrix([[1, 1], [1, 0]]), 3, "d(a,a) = 1 != 0"),
+    "matrix-negative-distance": (LENGTHS, _matrix([[0, -1], [-1, 0]]), 3, "d(a,b) < 0"),
+    "graph-empty": (
+        LENGTHS, b'{"type": "graph", "vertices": [], "edges": []}', 3, "empty metric spaces are rejected"
+    ),
+    "graph-duplicate-vertices": (
+        LENGTHS, b'{"type": "graph", "vertices": ["a", "a"], "edges": []}', 3, "duplicate vertex labels"
+    ),
+    "gluing-k-not-injective": (
+        ["verify", "mv", "DOC", "--lmax", "1"],
+        _edited("mv_triangles", k_in_g=["p", "p"]),
+        3,
+        "K index lists must be injective",
     ),
 }
 
@@ -561,6 +634,149 @@ def test_exit_mismatch_on_failing_check(capsys, monkeypatch):
     )
     assert code == 1
     assert out.splitlines()[-1] == "FAIL"
+
+
+def _identity_reverse(real):
+    """SycamoreTwist.reverse handing back the identity twist of x, which
+    maps no moved cell back."""
+
+    def reverse(twist):
+        x = twist.x
+        return morse.SycamoreTwist(x.g, x.h, x.k_in_g, x.k_in_h, range(len(twist.alpha)))
+
+    return reverse
+
+
+def _torsion_in_products(real):
+    """magnitude_chain_complex giving Z/2 in degree 0, and no Betti number,
+    on the product space, whose points are named "(x,y)"; the factors keep
+    their real complexes."""
+    z2 = ChainComplex({0: ["a"], 1: ["b"]}, {1: [{0: 2}]})
+
+    def stub(space, a, b, l):
+        return z2 if space.labels[0].startswith("(") else real(space, a, b, l)
+
+    return stub
+
+
+def _counted_magnitude(real):
+    """magnitude giving 0 on the first space and 1 on the second."""
+    calls = iter(range(2))
+    return lambda space, lmax: HahnPolynomial({0: next(calls)}, lmax)
+
+
+# each stub replaces one call a verifier makes below itself, so that the
+# verifier's own comparison runs on wrong data and reports FAIL: the exit
+# code is 1 and the detail names the check that failed, never an internal
+# fault; each entry is (argv, module, name, stub of the real function,
+# lines the output must hold)
+VERIFIER_FAILS = {
+    "chain-iso-degrees": (
+        ["chain-iso", "fixture:two_point", "--lmax", "1"],
+        "magtop.homology",
+        "relative_chain_complex",
+        lambda real: lambda pair: face_complex([]),
+        ["FAIL at (a,a) length 0: degree ranges differ: [0] vs []"],
+    ),
+    "chain-iso-stamps": (
+        ["chain-iso", "fixture:k3", "--lmax", "2"],
+        "magtop.homology",
+        "_stamps",
+        lambda real: lambda space, seq: (),
+        [
+            "FAIL at (a,a) length 2: degree 2 stamping is not injective",
+            "FAIL at (a,b) length 1: degree 1 bases do not correspond",
+        ],
+    ),
+    "suspension": (
+        ["suspension", "fixture:two_point", "--lmax", "1"],
+        "magtop.homology",
+        "relative_chain_complex",
+        lambda real: lambda pair: face_complex([]),
+        [
+            "FAIL at (a,b) length 1: MH HomologySummary(betti=((1, 1),), "
+            "torsion=()) vs shifted pair homology "
+            "HomologySummary(betti=(), torsion=())"
+        ],
+    ),
+    "kunneth": (
+        ["kunneth", "fixture:two_point", "fixture:p2", "--lmax", "1"],
+        "magtop.homology",
+        "magnitude_chain_complex",
+        _torsion_in_products,
+        ["FAIL: first mismatch: (Fraction(0, 1), 0, 0, {}, {0: 1})"],
+    ),
+    "euler": (
+        ["euler", "fixture:k3", "--lmax", "1"],
+        "magtop.series",
+        "homology",
+        lambda real: lambda complex: HomologySummary(),
+        ["FAIL at (a,a) length 0: coefficient 1 vs euler 0", "FAIL"],
+    ),
+    "mv": (
+        ["mv", "fixture:mv_triangles", "--lmax", "0"],
+        "magtop.mv",
+        "magnitude_homology_total",
+        lambda real: lambda space, l: HomologySummary(
+            ((0, space.n**2),), ((1, (space.n,)),)
+        ),
+        [
+            "l=0 k=0: 20 vs 18 MISMATCH",
+            "FAIL: mv rank at length 0 degree 0: 20 vs 18; "
+            "mv torsion differs at length 0",
+        ],
+    ),
+    "sycamore-reverse": (
+        ["sycamore", "fixture:sycamore_twist", "--lmax", "1"],
+        "magtop.morse",
+        "SycamoreTwist.reverse",
+        _identity_reverse,
+        ["FAIL: length 1 dim 1: reverse twist fails to invert 2 cells"],
+    ),
+    "sycamore-injective": (
+        ["sycamore", "fixture:sycamore_twist", "--lmax", "0"],
+        "magtop.morse",
+        "sycamore_tau",
+        lambda real: lambda twist, seq: (),
+        [
+            "FAIL: length 0 dim 0: reverse twist fails to invert 10 cells; "
+            "length 0 dim 0: twist map is not injective; "
+            "length 0 dim 0: 10 cells vs 10"
+        ],
+    ),
+    "sycamore-bounded": (
+        ["sycamore", "fixture:sycamore_twist", "--lmax", "0"],
+        "magtop.morse",
+        "verify_bounded",
+        lambda real: lambda hasse: morse.BoundedReport(False, ()),
+        [
+            "FAIL: unbounded matching at length 0; "
+            "unbounded matching at length 0"
+        ],
+    ),
+    "sycamore-magnitude": (
+        ["sycamore", "fixture:sycamore_twist", "--lmax", "0"],
+        "magtop.morse",
+        "magnitude",
+        _counted_magnitude,
+        ["FAIL: magnitude differs: 0 vs 1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFIER_FAILS))
+def test_verifier_fail_branch(capsys, monkeypatch, case):
+    argv, module, name, stub, want = VERIFIER_FAILS[case]
+    owner = importlib.import_module(module)
+    *path, attr = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    monkeypatch.setattr(owner, attr, stub(getattr(owner, attr)))
+    code, out, err = run(capsys, ["verify"] + argv)
+    assert (code, err) == (cli.MISMATCH_CODE, "")
+    lines = out.splitlines()
+    assert all(line in lines for line in want), lines
+    assert lines[-1].startswith("FAIL")
 
 
 # each stub makes a real internal check fail: with every sequence sticky

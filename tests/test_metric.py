@@ -183,17 +183,22 @@ def test_four_cuts_on_cycle_and_trees():
     assert four_cuts(unit_complete(4)) == ([], INFINITE)
 
 
+def class_set(gspec, c):
+    """The glued points of class c: 0 interior g, 1 in K, 2 biased, 3 neutral."""
+    return frozenset(p for p, k in enumerate(gspec.classes) if k == c)
+
+
 def assert_class_partition(gl):
     """The class tuple splits the glued points into interior g, K, biased
     and neutral, class by class."""
     assert len(gl.classes) == gl.space.n
-    parts = [
-        frozenset(p for p, c in enumerate(gl.classes) if c == k) for k in range(4)
-    ]
+    parts = [class_set(gl, c) for c in range(4)]
     kset = frozenset(gl.k_in_g)
     interior_g = frozenset(range(gl.g.n)) - kset
-    assert parts == [interior_g, kset, gl.biased, gl.neutral]
-    assert set(gl.gates) == gl.biased
+    interior_h = frozenset(range(gl.g.n, gl.space.n))
+    assert parts[:2] == [interior_g, kset]
+    assert parts[2] | parts[3] == interior_h
+    assert set(gl.gates) == parts[2]
 
 
 def test_glue_classifies_interior_points():
@@ -206,9 +211,9 @@ def test_glue_classifies_interior_points():
     )
     gl = glue(g, h, (g.index("p"), g.index("q")), (h.index("p"), h.index("q")))
     assert gl.space.labels == ("p", "q", "u", "v")
-    assert gl.neutral == frozenset()
+    assert class_set(gl, 3) == frozenset()
     v = gl.space.index("v")
-    assert gl.biased == frozenset({v})
+    assert class_set(gl, 2) == frozenset({v})
     assert gl.gates[v] == gl.space.index("p")
     # glued distances route through K
     u = gl.space.index("u")
@@ -226,8 +231,8 @@ def test_glue_unit_triangles_has_neutral_point():
     )
     gl = glue(g, h, (0, 1), (0, 1))
     v = gl.space.index("v")
-    assert gl.neutral == frozenset({v})
-    assert gl.biased == frozenset()
+    assert class_set(gl, 3) == frozenset({v})
+    assert class_set(gl, 2) == frozenset()
     assert gl.classes == (1, 1, 0, 3)
     assert_class_partition(gl)
 
@@ -257,7 +262,7 @@ def test_glue_projection_distances_minimize_over_k():
     u = gl.space.index("u")
     v = gl.space.index("v")
     assert gl.space.dist[u][v] == 2  # min over p and q crossings
-    assert v in gl.neutral
+    assert v in class_set(gl, 3)
     assert_class_partition(gl)
 
 

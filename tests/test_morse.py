@@ -332,23 +332,23 @@ def class_set(gspec, c):
 def brute_sticky(gspec, seq):
     """Quadratic scan for a crossing run between a strict-g point and a
     biased point with only common points between them."""
-    interior_g, kset = class_set(gspec, 0), class_set(gspec, 1)
+    interior_g, kset, biased = (class_set(gspec, c) for c in (0, 1, 2))
     for i in range(len(seq)):
         for j in range(i + 1, len(seq)):
             if not all(seq[t] in kset for t in range(i + 1, j)):
                 continue
             a, b = seq[i], seq[j]
-            if a in interior_g and b in gspec.biased:
+            if a in interior_g and b in biased:
                 return True
-            if a in gspec.biased and b in interior_g:
+            if a in biased and b in interior_g:
                 return True
     return False
 
 
 def test_classification_matches_brute_force():
     gl = sycamore_gluing()
-    side_g = class_set(gl, 0) | class_set(gl, 1) | gl.neutral
-    side_h = class_set(gl, 1) | gl.biased | gl.neutral
+    side_g = class_set(gl, 0) | class_set(gl, 1) | class_set(gl, 3)
+    side_h = class_set(gl, 1) | class_set(gl, 2) | class_set(gl, 3)
     counts = {"sticky": 0, "flat": 0, "twistable": 0}
     for k in (1, 2, 3):
         for seq in product(range(gl.space.n), repeat=k):
@@ -363,7 +363,7 @@ def test_classification_matches_brute_force():
             assert pieces[0][0] == 0 and pieces[-1][1] == k - 1
             for (_, e), (s2, _) in zip(pieces, pieces[1:]):
                 # pieces meet at a cut, a neutral point
-                assert e == s2 and seq[e] in gl.neutral
+                assert e == s2 and seq[e] in class_set(gl, 3)
             for s, e in pieces:
                 piece = seq[s : e + 1]
                 one_sided = all(p in side_g for p in piece) or all(
@@ -376,11 +376,11 @@ def test_classification_matches_brute_force():
 def oracle_first_sticky(gspec, seq):
     """The two-loop scan over frozensets: from each strict-g or biased
     point, skip K to the next point and test the pair."""
-    interior_g, kset = class_set(gspec, 0), class_set(gspec, 1)
+    interior_g, kset, biased = (class_set(gspec, c) for c in (0, 1, 2))
     k = len(seq)
     for i in range(k - 1):
         xi = seq[i]
-        if xi not in interior_g and xi not in gspec.biased:
+        if xi not in interior_g and xi not in biased:
             continue
         j = i + 1
         while j < k and seq[j] in kset:
@@ -388,9 +388,9 @@ def oracle_first_sticky(gspec, seq):
         if j == k:
             continue
         xj = seq[j]
-        if xi in interior_g and xj in gspec.biased:
+        if xi in interior_g and xj in biased:
             return (i, j)
-        if xi in gspec.biased and xj in interior_g:
+        if xi in biased and xj in interior_g:
             return (i, j)
     return None
 
@@ -400,10 +400,10 @@ def oracle_classify(gspec, seq):
     last point outside K (g side) or in interior h (h side)."""
     if oracle_first_sticky(gspec, seq) is not None:
         return None
-    kset = class_set(gspec, 1)
-    side_g = class_set(gspec, 0) | kset | gspec.neutral
-    side_h = kset | gspec.biased | gspec.neutral
-    interior_h = gspec.biased | gspec.neutral
+    kset, biased, neutral = (class_set(gspec, c) for c in (1, 2, 3))
+    side_g = class_set(gspec, 0) | kset | neutral
+    side_h = kset | biased | neutral
+    interior_h = biased | neutral
     k = len(seq)
     pieces = []
     start = 0
@@ -480,7 +480,7 @@ def test_gate_insert_pair():
     gl = mv_gluing()
     # labels (p, q, u, v); v is biased with gate p
     assert gl.space.labels == ("p", "q", "u", "v")
-    assert sorted(gl.biased) == [3] and gl.gates == {3: 0}
+    assert sorted(class_set(gl, 2)) == [3] and gl.gates == {3: 0}
     assert classify_sequence(gl, (2, 3)) is None
     m = projecting_matching(gl, 2)
     face, coface = (2, 3), (2, 0, 3)
@@ -570,8 +570,8 @@ def test_all_biased_gluing_twist():
     g = space("pqu", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     h = space(("p", "q", "h3"), [[0, 1, 1], [1, 0, 2], [1, 2, 0]])
     tw = SycamoreTwist(g, h, (0, 1), (0, 1), (1, 0))
-    assert sorted(tw.x.biased) == [3] and tw.x.gates == {3: 0}
-    assert tw.x.neutral == frozenset()
+    assert sorted(class_set(tw.x, 2)) == [3] and tw.x.gates == {3: 0}
+    assert class_set(tw.x, 3) == frozenset()
     # the twist moves the pendant point to the other side of the edge
     assert tw.x.space.dist[0][3] == 1 and tw.y.space.dist[0][3] == 2
     rep = verify_sycamore(tw, 2)
@@ -583,7 +583,7 @@ def test_all_biased_gluing_twist():
         (Fraction(2), 2, 16, 16, True),
     )
     side_g = class_set(tw.x, 0) | class_set(tw.x, 1)
-    side_h = class_set(tw.x, 1) | tw.x.biased
+    side_h = class_set(tw.x, 1) | class_set(tw.x, 2)
     for l in (1, 2):
         for s in critical_cells(tw.x, l):
             one_sided = all(p in side_g for p in s) or all(p in side_h for p in s)
@@ -597,12 +597,12 @@ def test_reverse_twist_round_trip():
         [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]],
     )
     tw = SycamoreTwist(g, h, (0, 1, 2), (0, 1, 2), (1, 2, 0))
-    assert sorted(tw.x.neutral) == [3]
+    assert sorted(class_set(tw.x, 3)) == [3]
     rev = tw.reverse()
     assert rev.alpha == (2, 0, 1)
     assert rev.x == tw.y and rev.y == tw.x
     back = rev.reverse()
-    assert back.alpha == tw.alpha and back.k_in_h == tw.k_in_h
+    assert back.alpha == tw.alpha and back.x.k_in_h == tw.x.k_in_h
     assert verify_sycamore(tw, 1)
 
 

@@ -29,6 +29,11 @@ def triangles():
     return gluing_from_doc(load_fixture("mv_triangles"))
 
 
+def class_set(gspec, c):
+    """The glued points of class c: 0 interior g, 1 in K, 2 biased, 3 neutral."""
+    return frozenset(p for p, k in enumerate(gspec.classes) if k == c)
+
+
 def tree_gluing():
     path = space(("r", "g1", "g2"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     star = space(("r", "h1", "h2"), [[0, 1, 1], [1, 0, 2], [1, 2, 0]])
@@ -102,7 +107,7 @@ def test_mv_additivity_on_triangles():
 
 def test_one_point_tree_gluing():
     gl = tree_gluing()
-    assert gl.neutral == frozenset()
+    assert class_set(gl, 3) == frozenset()
     assert sorted(gl.space.labels) == ["g1", "g2", "h1", "h2", "r"]
     idx = gl.space.index
     assert gl.space.dist[idx("g2")][idx("h1")] == 3
