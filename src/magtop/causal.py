@@ -42,7 +42,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .metric import InternalFault, scaled_length, scaled_target
+from .metric import InternalFault, _as_fraction, scaled_length, scaled_target
 
 
 class InvalidLength(ValueError):
@@ -136,7 +136,7 @@ def _reachable_lengths(space, start, budget):
     """Map point -> set of scaled sequence lengths from start, up to budget;
     empty when the budget is negative."""
     scale, d = space._scaled
-    budget = math.floor(Fraction(budget) * scale)
+    budget = math.floor(_as_fraction(budget) * scale)
     if budget < 0:
         return {}
     n = space.n
@@ -272,14 +272,15 @@ class SimplicialComplex:
     def __init__(self, is_void, sims):
         self.is_void = is_void
         self._sims = frozenset(sims)
-        if is_void:
-            assert not self._sims
-        for s in self._sims:
-            assert len(s) > 0 and tuple(sorted(s)) == s
-            if len(s) > 1:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    assert face in self._sims, "not closed under faces"
+        if __debug__:  # shape checks only: python -O skips the whole scan
+            if is_void:
+                assert not self._sims
+            for s in self._sims:
+                assert len(s) > 0 and tuple(sorted(s)) == s
+                if len(s) > 1:
+                    for i in range(len(s)):
+                        face = s[:i] + s[i + 1:]
+                        assert face in self._sims, "not closed under faces"
 
     @classmethod
     def void(cls):
@@ -344,7 +345,7 @@ def order_complex_pair(space, a, b, l):
     base point, whose reduced homology is the unreduced homology of the
     complex.  A void essential poset gives the (void, void) pair.
     """
-    l = Fraction(l)
+    l = _as_fraction(l)
     # the essential poset, from the stamps the relative-part check reuses
     stamped = {_stamps(space, s) for s in lightlike_sequences(space, a, b, l)}
     poset = CausalPoset(space, set().union(*stamped))
@@ -370,7 +371,7 @@ def inner_pair(space, a, b, l):
     interior essential points exist; sub is void when d(a,b) >= l and
     empty when d(a,b) < l with no short chains.
     """
-    l = Fraction(l)
+    l = _as_fraction(l)
     if l <= 0:
         raise InvalidLength("positive length required, got %s" % (l,))
     d_ab = space.dist[a][b]

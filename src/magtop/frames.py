@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .causal import CausalPoset, InvalidLength, SimplicialComplex, SimplicialPair, walks
 from .homology import homology, relative_chain_complex
-from .metric import MetricError, four_cuts, from_weighted_graph
+from .metric import MetricError, _as_fraction, four_cuts, from_weighted_graph
 
 
 class FourCutObstruction(ValueError):
@@ -45,13 +45,22 @@ def _frame_steps(space, allowed):
     return successors
 
 
+def _four_cut_threshold(space):
+    """m_X of four_cuts, computed on first use and kept on the space."""
+    m_x = getattr(space, "_m_x", None)
+    if m_x is None:
+        m_x = four_cuts(space)[1]
+        object.__setattr__(space, "_m_x", m_x)
+    return m_x
+
+
 def singular_sequences(space, a, b, l):
     """All frames from a to b of exact length l, lexicographic; refused at
     or past m_X."""
-    l = Fraction(l)
+    l = _as_fraction(l)
     if l < 0:
         raise InvalidLength("negative length %s" % (l,))
-    m_x = four_cuts(space)[1]
+    m_x = _four_cut_threshold(space)
     if l >= m_x:
         raise FourCutObstruction(
             "length %s reaches the obstruction threshold %s" % (l, m_x)
@@ -98,7 +107,7 @@ def framed_betti_prediction(space, a, b, l):
 def thin_frames(space, l):
     """Frames, over all ordered pairs, whose steps have empty open intervals:
     no point lies strictly between a step's ends on a geodesic."""
-    l = Fraction(l)
+    l = _as_fraction(l)
     if l < 0:
         raise InvalidLength("negative length %s" % (l,))
     n = space.n

@@ -10,7 +10,6 @@ over Python ints, so ranks, Betti numbers, and torsion are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .causal import (
@@ -20,7 +19,7 @@ from .causal import (
     order_complex_pair,
     pair_achievable_lengths,
 )
-from .metric import InternalFault, product
+from .metric import InternalFault, _as_fraction, product
 
 
 class BoundarySquareNonzero(InternalFault):
@@ -188,9 +187,6 @@ class HomologySummary:
     def torsion_at(self, k):
         return list(dict(self.torsion).get(k, ()))
 
-    def euler(self):
-        return sum((-1) ** k * r for k, r in self.betti)
-
     def shifted(self, offset):
         return HomologySummary(
             tuple((k + offset, r) for k, r in self.betti),
@@ -299,7 +295,7 @@ def verify_chain_iso(space, a, b, l):
     """Check that stamping prefix times is a basis bijection from the
     sequence complex onto the relative order complex, commuting with the
     boundaries sign for sign."""
-    l = Fraction(l)
+    l = _as_fraction(l)
     mag = magnitude_chain_complex(space, a, b, l)
     rel = relative_chain_complex(order_complex_pair(space, a, b, l))
     mag_degrees = [k for k in mag.degrees() if mag.rank(k)]
@@ -327,7 +323,7 @@ def verify_chain_iso(space, a, b, l):
 def verify_suspension_shift(space, a, b, l):
     """Check MH_k against the degree-(k-2) homology of the
     endpoint-stripped pair, including the void/empty conventions."""
-    l = Fraction(l)
+    l = _as_fraction(l)
     lhs = homology(magnitude_chain_complex(space, a, b, l))
     rhs = homology(relative_chain_complex(inner_pair(space, a, b, l)))
     shifted = rhs.shifted(2)
@@ -356,7 +352,7 @@ def verify_kunneth(x, y, lmax):
     over all splits of the length; when the factors are torsion-free the
     product must be torsion-free as well.
     """
-    lmax = Fraction(lmax)
+    lmax = _as_fraction(lmax)
     prod, pidx = product(x, y)
 
     def factor_table(space):

@@ -74,7 +74,7 @@ class LabelError(KeyError):
 
 def _as_fraction(value):
     if isinstance(value, float):
-        raise TypeError("floats are not allowed as distances: %r" % (value,))
+        raise TypeError("floats are not allowed as distances or lengths: %r" % (value,))
     return Fraction(value)
 
 
@@ -91,9 +91,10 @@ def _scale_matrix(matrix):
 class MetricSpace:
     """Finite point set with an exact rational distance matrix.
 
-    _scaled caches (scale, integer matrix) for the kernels, and _steps the
-    step tables causal.walks builds per endpoint, row by row, on first use;
-    neither takes part in equality, hashing or repr.
+    _scaled caches (scale, integer matrix) for the kernels, _steps the
+    step tables causal.walks builds per endpoint, row by row, on first use,
+    and _m_x, once frames first reads it, the four-cut threshold; none
+    takes part in equality, hashing or repr.
     """
 
     labels: tuple
@@ -246,7 +247,7 @@ def scaled_target(space, l):
     """A length l times the space's scale, an int; None when that is not an
     integer, as no sequence of the space then has length l."""
     if not isinstance(l, (int, Fraction)):
-        l = Fraction(l)
+        l = _as_fraction(l)
     scale = space._scaled[0]
     if scale % l.denominator:
         return None

@@ -27,11 +27,10 @@ step keeps only the counts the next one reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .causal import achievable_lengths, lightlike_sequences
 from .homology import VerifyReport
-from .metric import InternalFault, glue, scaled_length, scaled_target
+from .metric import InternalFault, _as_fraction, glue, scaled_length, scaled_target
 from .series import format_series, magnitude
 
 
@@ -292,7 +291,7 @@ def projecting_matching(gspec, l):
     skipped.
     """
     space = gspec.space
-    l = Fraction(l)
+    l = _as_fraction(l)
     top = scaled_target(space, l)
     pairs = {}
     for a in range(space.n):
@@ -327,7 +326,7 @@ def critical_cells(gspec, l):
     against the independent sticky-free classification.
     """
     space = gspec.space
-    l = Fraction(l)
+    l = _as_fraction(l)
     matching = projecting_matching(gspec, l)
     critical = []
     twistfree = []
@@ -505,9 +504,9 @@ def _side_problems(side, gspec, l, alt_crit, problems):
         )
     hasse = modified_hasse(cells, projecting_matching(gspec, l))
     if not verify_acyclic(hasse):
-        problems.append("cyclic matching at length %s" % (l,))
+        problems.append("length %s in %s: cyclic matching" % (l, side))
     if not verify_bounded(hasse):
-        problems.append("unbounded matching at length %s" % (l,))
+        problems.append("length %s in %s: unbounded matching" % (l, side))
 
 
 def verify_sycamore(twist, lmax):
@@ -519,7 +518,7 @@ def verify_sycamore(twist, lmax):
     truncated magnitude series of the two spaces coincide.
     """
     x, y = twist.x.space, twist.y.space
-    lmax = Fraction(lmax)
+    lmax = _as_fraction(lmax)
     rows = []
     problems = []
     lengths = sorted(

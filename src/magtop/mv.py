@@ -9,7 +9,6 @@ the glued space satisfies an exact rank and torsion additivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .causal import achievable_lengths, lightlike_sequences
 from .homology import (
@@ -19,7 +18,7 @@ from .homology import (
     homology,
     magnitude_homology_total,
 )
-from .metric import InternalFault, is_smooth, restriction
+from .metric import InternalFault, _as_fraction, is_smooth, restriction
 
 
 class FaceEscapedInterior(InternalFault):
@@ -62,7 +61,7 @@ def interior_part_betti(gspec, l):
     out, so it raises FaceEscapedInterior instead of counting as zero.
     """
     h = gspec.h
-    l = Fraction(l)
+    l = _as_fraction(l)
     inside_k = frozenset(gspec.k_in_h)
     total = HomologySummary()
     for a in range(h.n):
@@ -106,7 +105,7 @@ def verify_union(gluing, lmax):
     refusal = check_gated(gluing)
     if refusal is not None:
         return refusal
-    lmax = Fraction(lmax)
+    lmax = _as_fraction(lmax)
     rows = []
     problems = []
     for l in _lengths((gluing.space, gluing.g, gluing.h), lmax):
@@ -126,7 +125,7 @@ def verify_mv(gluing, lmax):
     refusal = check_gated(gluing)
     if refusal is not None:
         return refusal
-    lmax = Fraction(lmax)
+    lmax = _as_fraction(lmax)
     kspace = restriction(gluing.g, gluing.k_in_g)
     rows = []
     problems = []

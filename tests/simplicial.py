@@ -7,6 +7,12 @@ the tests.
 
 from magtop.causal import SimplicialComplex
 
+# the 6-vertex, 10-triangle RP^2, whose reduced homology is Z/2 in degree 1
+RP2 = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+]
+
 
 def complex_of(simplices):
     """Nonvoid complex on simplices, which must be closed under faces."""

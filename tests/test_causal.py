@@ -252,8 +252,9 @@ def test_simplicial_complex_face_closure():
     tri = complex_of(closure(("a", "b", "c")))
     assert len(simplices(tri)) == 7
     assert ("a", "c") in simplices(tri)
-    with pytest.raises(AssertionError):
-        complex_of([("a", "b")])  # vertices missing, not closed
+    if __debug__:  # a shape check, skipped under python -O
+        with pytest.raises(AssertionError):
+            complex_of([("a", "b")])  # vertices missing, not closed
 
 
 def test_simplicial_pair_relative_simplices():
@@ -261,8 +262,9 @@ def test_simplicial_pair_relative_simplices():
     sub = complex_of([("a",)])
     pair = SimplicialPair(total, sub)
     assert pair.relative_simplices() == [("b",), ("a", "b")]
-    with pytest.raises(AssertionError):
-        SimplicialPair(sub, total)
+    if __debug__:  # a shape check, skipped under python -O
+        with pytest.raises(AssertionError):
+            SimplicialPair(sub, total)
     # a void sub leaves every simplex, sorted by size then lexicographically
     big = complex_of(closure(("a", "b", "c"), ("b", "d")))
     everything = SimplicialPair(big, SimplicialComplex.void())

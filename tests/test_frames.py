@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+import magtop.frames as frames_module
 from magtop.causal import InvalidLength, achievable_lengths, order_chains
 from magtop.docs import load_fixture, space_from_doc
 from magtop.frames import (
@@ -27,13 +28,8 @@ from magtop.metric import (
     random_metric_space,
 )
 from lengths import min_positive_distance, seq_length
+from simplicial import RP2
 
-
-# the 6-vertex, 10-triangle RP^2, whose reduced homology is Z/2 in degree 1
-RP2 = [
-    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
-    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
-]
 
 
 def space(labels, rows):
@@ -296,6 +292,25 @@ def test_four_cut_obstruction_on_cycle():
                 pred = framed_betti_prediction(x, a, b, l)
                 summary = homology(magnitude_chain_complex(x, a, b, l))
                 assert pred == {k: r for k, r in summary.betti if r}
+
+
+def test_four_cut_threshold_computed_once_per_space(monkeypatch):
+    # m_X is an O(n^4) scan, kept on the space after its first use; two
+    # equal spaces are two objects, and each scans once
+    calls = []
+    scan = frames_module.four_cuts
+    monkeypatch.setattr(frames_module, "four_cuts", lambda x: calls.append(x) or scan(x))
+    spaces = [c4(), k4(), c4()]
+    for x in spaces:
+        for l in (0, 1, 2):
+            for a in range(x.n):
+                for b in range(x.n):
+                    framed_betti_prediction(x, a, b, l)
+                    singular_sequences(x, a, b, l)
+    for _ in range(2):
+        with pytest.raises(FourCutObstruction, match="threshold 3"):
+            singular_sequences(spaces[0], 0, 1, 3)
+    assert len(calls) == 3 and all(c is x for c, x in zip(calls, spaces))
 
 
 def test_negative_length_rejected():

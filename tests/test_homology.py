@@ -121,7 +121,7 @@ def test_homology_reads_torsion_from_snf():
 def test_homology_summary_algebra():
     a = HomologySummary.build({0: 1, 2: 1}, {1: [4, 2]})
     assert a.torsion == ((1, (2, 4)),)
-    assert a.euler() == 2
+    assert sum((-1) ** k * r for k, r in a.betti) == 2
     assert a.shifted(2).betti == ((2, 1), (4, 1))
     b = HomologySummary.build({2: 3}, {1: [2]})
     both = a.plus(b)

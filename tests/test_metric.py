@@ -1,9 +1,12 @@
 """Distance matrices, graph metrics, products and gluings."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
+import magtop
+from magtop.docs import gluing_from_doc, load_fixture, twist_from_doc
 from magtop.metric import (
     AsymmetryError,
     DisconnectedGraph,
@@ -85,6 +88,52 @@ def test_matrix_axioms_rejected():
 def test_floats_rejected_as_distances():
     with pytest.raises(TypeError):
         from_distance_matrix(("a", "b"), [[0, 0.5], [0.5, 0]])
+
+
+LENGTH_PARAMS = {"l", "lmax", "budget", "truncation"}
+
+
+def _takes_length(name):
+    try:
+        params = inspect.signature(getattr(magtop, name)).parameters
+    except ValueError:  # the exception classes have no signature
+        return False
+    return bool(LENGTH_PARAMS & set(params))
+
+
+LENGTH_TAKERS = [name for name in sorted(magtop.__all__) if _takes_length(name)]
+
+
+def _arguments(name, length):
+    """Arguments for a public name, the length ones set to `length`."""
+    space = from_distance_matrix(("a", "b"), [[0, F(3, 10)], [F(3, 10), 0]])
+    by_param = {
+        "space": space, "x": space, "y": space, "a": 0, "b": 1, "terms": {},
+        "gluing": gluing_from_doc(load_fixture("mv_triangles")),
+        "twist": twist_from_doc(load_fixture("sycamore_twist")),
+    }
+    by_param["gspec"] = by_param["gluing"]
+    params = inspect.signature(getattr(magtop, name)).parameters
+    return [length if p in LENGTH_PARAMS else by_param[p] for p in params]
+
+
+def test_length_takers_are_the_expected_names():
+    assert LENGTH_TAKERS == [
+        "HahnPolynomial", "achievable_lengths", "critical_cells", "euler_check",
+        "framed_betti_prediction", "magnitude", "magnitude_chain_complex",
+        "pair_achievable_lengths", "singular_sequences", "thin_frames",
+        "verify_chain_iso", "verify_kunneth", "verify_mv",
+        "verify_suspension_shift", "verify_sycamore", "verify_union",
+        "weighting",
+    ]
+
+
+@pytest.mark.parametrize("name", LENGTH_TAKERS)
+def test_floats_rejected_as_lengths(name):
+    # 0.3 is not 3/10: Fraction(0.3) would silently miss every length of
+    # the space, so a float length is refused as a float distance is
+    with pytest.raises(TypeError, match="floats are not allowed"):
+        getattr(magtop, name)(*_arguments(name, 0.3))
 
 
 def test_index_and_label_error():

@@ -698,10 +698,10 @@ def test_problem_order_survives_per_side_checks(monkeypatch):
     assert rep.detail.split("; ") == [
         "length 0 in x: %s, 11 over all cells vs 10 over critical ones" % euler,
         "length 0 in y: %s, 11 over all cells vs 10 over critical ones" % euler,
-        "cyclic matching at length 0",
+        "length 0 in y: cyclic matching",
         "length 1 dim 1: 30 cells vs 29",
         "length 1 in x: %s, -31 over all cells vs -30 over critical ones" % euler,
-        "cyclic matching at length 1",
+        "length 1 in x: cyclic matching",
         "length 1 in y: %s, -31 over all cells vs -29 over critical ones" % euler,
         "length 2 dim 2: 126 twist images change length",
         "length 2 dim 2: 126 cells vs 126",

@@ -1,11 +1,16 @@
 """Truncated q-series arithmetic, inverses, and the counting identities."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
 
-from magtop.causal import achievable_lengths
+import pytest
+
+from magtop.causal import achievable_lengths, pair_achievable_lengths
 from magtop.docs import load_fixture, space_from_doc
+from magtop.frames import hasse_graph
+from magtop.homology import homology, magnitude_chain_complex
 from magtop.metric import from_distance_matrix, random_metric_space
 from magtop.series import (
     HahnPolynomial,
@@ -20,6 +25,7 @@ from magtop.series import (
     z_matrix,
 )
 from lengths import min_positive_distance
+from simplicial import RP2
 
 F = Fraction
 
@@ -204,6 +210,58 @@ def test_euler_identity_on_fixtures_and_random_spaces():
     for seed in range(10):
         rep = euler_check(random_metric_space(5, seed), F(3))
         assert rep.ok, (seed, rep.mismatches)
+
+
+def betti_euler(summary):
+    return sum((-1) ** k * r for k, r in summary.betti)
+
+
+ORACLE_SPACES = ["k3", "c4", "p3", "sycamore_g"] + [
+    "random:%d:%d" % (seed, den_max) for den_max in (1, 6) for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_SPACES)
+def test_path_sum_is_the_homology_euler_characteristic(name):
+    # the homology route, chain complex and Smith normal form, stays the
+    # oracle of the signed path sum that euler_check reads
+    if name.startswith("random:"):
+        _, seed, den_max = name.split(":")
+        sp = random_metric_space(5, int(seed), int(den_max))
+    else:
+        sp = fixture_space(name)
+    lmax = F(3)
+    for a in range(sp.n):
+        for b in range(sp.n):
+            path_sum = perturbative_inverse(sp, a, b, lmax)
+            lengths = pair_achievable_lengths(sp, a, b, lmax)
+            assert set(path_sum.support()) <= set(lengths)
+            for l in lengths:
+                summary = homology(magnitude_chain_complex(sp, a, b, l))
+                assert path_sum.coefficient(l) == betti_euler(summary), (a, b, l)
+
+
+def test_path_sum_ignores_torsion_on_the_rp2_hasse_pair():
+    # (0hat, 1hat) at l = 4 has homology Z/2 in degree 3 and no Betti
+    # number, so its Euler characteristic is 0 as the signed count is
+    hg = hasse_graph(RP2)
+    x = hg.space
+    a, b = x.index(hg.zero), x.index(hg.one)
+    summary = homology(magnitude_chain_complex(x, a, b, hg.l))
+    assert (summary.betti, summary.torsion) == ((), ((3, (2,)),))
+    assert perturbative_inverse(x, a, b, hg.l).coefficient(hg.l) == 0
+
+
+def test_euler_check_builds_no_complex(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("euler_check reduced a complex")
+
+    # the package attribute magtop.homology is the re-exported function
+    module = importlib.import_module("magtop.homology")
+    monkeypatch.setattr(module, "face_complex", refuse)
+    monkeypatch.setattr(module, "smith_normal_form", refuse)
+    rep = euler_check(fixture_space("k4"), F(4))
+    assert rep.ok and rep.checked > 0
 
 
 def plus_chain(series, truncation):
