@@ -1,4 +1,4 @@
-"""Causal posets over X x R and the simplicial pairs built from them.
+"""Causal posets over X x R and the relative order complexes built from them.
 
 A light-like sequence from a to b of length l is a point sequence whose
 steps sum to exactly l; its time stamps are the running prefix sums, so the
@@ -8,11 +8,12 @@ the short chains models the magnitude homotopy type, and all homology in
 this package is computed from such pairs or from the sequence chain complex
 directly.
 
-Each side of a simplicial pair is void (no simplex at all), empty (only the
-empty simplex) or nonempty.  That state alone fixes the augmentation: the
-relative chains hold the empty simplex, in degree -1, exactly when the total
-is nonvoid and the sub void.  So a void sub gives the reduced homology of
-the total, and an empty sub its unreduced homology.
+An order complex relative to a subcomplex is handed on as (cells,
+augmented): the chains outside the subcomplex, and whether the empty
+simplex, in degree -1, is a cell too.  It is exactly when the subcomplex is
+void, with no simplex at all, and the cells then give the reduced homology
+of the complex; a subcomplex of only the empty simplex gives its unreduced
+homology.
 
 Lengths in and out of this module are Fractions.  The kernels run on the
 space's integer distances, scaled once per space by their least common
@@ -253,137 +254,56 @@ def essential_poset(space, a, b, l):
     return CausalPoset(space, pts)
 
 
-VOID = "void"
-EMPTY = "empty"
-NONEMPTY = "nonempty"
-
-
-class SimplicialComplex:
-    """Tri-state finite complex.
-
-    void:  no simplices at all (not even the empty one)
-    empty: only the empty simplex
-    else:  the empty simplex plus the stored nonempty simplices
-    Simplices are tuples of vertices in ascending vertex order.
-    """
-
-    __slots__ = ("is_void", "_sims")
-
-    def __init__(self, is_void, sims):
-        self.is_void = is_void
-        self._sims = frozenset(sims)
-        if __debug__:  # shape checks only: python -O skips the whole scan
-            if is_void:
-                assert not self._sims
-            for s in self._sims:
-                assert len(s) > 0 and tuple(sorted(s)) == s
-                if len(s) > 1:
-                    for i in range(len(s)):
-                        face = s[:i] + s[i + 1:]
-                        assert face in self._sims, "not closed under faces"
-
-    @classmethod
-    def void(cls):
-        return cls(True, ())
-
-    @property
-    def state(self):
-        if self.is_void:
-            return VOID
-        return EMPTY if not self._sims else NONEMPTY
-
-    def __le__(self, other):
-        if self.is_void:
-            return True
-        if other.is_void:
-            return False
-        return self._sims <= other._sims
-
-    def __repr__(self):
-        return "SimplicialComplex(%s, %d simplices)" % (self.state, len(self._sims))
-
-
-class SimplicialPair:
-    """A complex together with a subcomplex, with tri-state bookkeeping."""
-
-    __slots__ = ("total", "sub")
-
-    def __init__(self, total, sub):
-        assert sub <= total, "sub is not a subcomplex of total"
-        self.total = total
-        self.sub = sub
-
-    def relative_simplices(self):
-        return sorted(self.total._sims - self.sub._sims, key=lambda s: (len(s), s))
-
-    def __repr__(self):
-        return "SimplicialPair(total=%s, sub=%s)" % (self.total.state, self.sub.state)
-
-
-def _chain_pair(chains, is_short, sub_void):
-    """Order complex of chains relative to its short chains.
-
-    The chains come ascending and closed under faces, so they are stored as
-    they are.  The sub side is void when sub_void, and then no chain may be
-    short.
-    """
-    total = SimplicialComplex(False, chains)
-    if sub_void:
-        assert not any(map(is_short, chains)), "a chain undercuts l"
-        return SimplicialPair(total, SimplicialComplex.void())
-    short = [c for c in chains if is_short(c)]
-    return SimplicialPair(total, SimplicialComplex(False, short))
-
-
 def order_complex_pair(space, a, b, l):
-    """Order complex of the essential poset, relative to short chains.
+    """Order complex of the essential poset relative to its short chains, as
+    (cells, augmented).
 
-    total = all chains; sub = chains whose underlying sequence is shorter
-    than l.  The simplices outside sub are exactly the time-stamped
-    light-like sequences.  At l = 0 no chain undercuts l, so sub is empty:
-    the quotient by an empty subcomplex is the order complex plus a disjoint
-    base point, whose reduced homology is the unreduced homology of the
-    complex.  A void essential poset gives the (void, void) pair.
+    A chain is short when its underlying sequence is shorter than l, and the
+    cells, the chains that are not, are exactly the time-stamped light-like
+    sequences.  The subcomplex of short chains holds at least the empty
+    simplex, so augmented is False: at l = 0 no chain undercuts 0, and the
+    cells give the unreduced homology of the complex.
     """
     l = _as_fraction(l)
     # the essential poset, from the stamps the relative-part check reuses
     stamped = {_stamps(space, s) for s in lightlike_sequences(space, a, b, l)}
     poset = CausalPoset(space, set().union(*stamped))
     if not poset.points:
-        return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
+        return [], False
     top = scaled_target(space, l)  # an int, as sequences of length l exist
-    pair = _chain_pair(
-        poset.chains(),
-        lambda c: scaled_length(space, [p for _, p in c]) < top,
-        sub_void=False,
-    )
+    cells = [
+        c for c in poset.chains()
+        if scaled_length(space, [p for _, p in c]) >= top
+    ]
     # the relative part must be exactly the stamped light-like sequences
-    if pair.total._sims - pair.sub._sims != stamped:
+    if set(cells) != stamped:
         raise InternalFault("relative chains are not the light-like sequences")
-    return pair
+    return cells, False
 
 
 def inner_pair(space, a, b, l):
-    """Endpoint-stripped pair: chains strictly between (a,0) and (b,l),
-    relative to the chains that admit a shortcut below l.
+    """Endpoint-stripped pair, as (cells, augmented): the chains strictly
+    between (a,0) and (b,l) that admit no shortcut below l.
 
-    total is void when d(a,b) > l and empty when d(a,b) <= l but no
-    interior essential points exist; sub is void when d(a,b) >= l and
-    empty when d(a,b) < l with no short chains.
+    When d(a,b) > l there is nothing.  When d(a,b) == l no chain is short
+    and the subcomplex is void, so augmented is True and the cells give the
+    reduced homology of the interval; when d(a,b) < l the subcomplex holds
+    at least the empty simplex and augmented is False.
     """
     l = _as_fraction(l)
     if l <= 0:
         raise InvalidLength("positive length required, got %s" % (l,))
     d_ab = space.dist[a][b]
     if d_ab > l:
-        return SimplicialPair(SimplicialComplex.void(), SimplicialComplex.void())
+        return [], False
     poset = essential_poset(space, a, b, l)
     top = scaled_target(space, l)  # an int whenever the poset has points
     ends = {(0, a), (top, b)}
-    mid = [p for p in poset.points if p not in ends]
-    mid_poset = CausalPoset(space, mid)
-    return _chain_pair(
-        mid_poset.chains(),
-        lambda c: scaled_length(space, [a] + [p for _, p in c] + [b]) < top,
-        d_ab >= l,
-    )
+    chains = CausalPoset(space, [p for p in poset.points if p not in ends]).chains()
+    cells = [
+        c for c in chains
+        if scaled_length(space, [a] + [p for _, p in c] + [b]) >= top
+    ]
+    augmented = d_ab == l
+    assert not augmented or len(cells) == len(chains), "a chain undercuts l"
+    return cells, augmented

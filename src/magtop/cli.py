@@ -85,10 +85,13 @@ def _load_document(ref):
     """JSON document from a file path or a fixture:<name> reference."""
     if ref.startswith("fixture:"):
         name = ref.split(":", 1)[1]
-        try:
-            return load_fixture(name)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DocumentError("unknown fixture %r" % (name,)) from exc
+        # a shipped fixture has a plain name: a path would leave the package
+        if not any(part in name for part in ("/", "\\", "..")):
+            try:
+                return load_fixture(name)
+            except (OSError, json.JSONDecodeError):
+                pass
+        raise DocumentError("unknown fixture %r" % (name,))
     return load_doc(ref)
 
 

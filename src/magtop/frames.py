@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .causal import CausalPoset, InvalidLength, SimplicialComplex, SimplicialPair, walks
+from .causal import CausalPoset, InvalidLength, walks
 from .homology import homology, relative_chain_complex
 from .metric import MetricError, _as_fraction, four_cuts, from_weighted_graph
 
@@ -80,8 +80,7 @@ def _between(space, x, y):
 def _interval_factor(space, x, y):
     """Reduced Betti of the open-interval order complex, raised two degrees."""
     chains = CausalPoset(space, _between(space, x, y)).chains()
-    pair = SimplicialPair(SimplicialComplex(False, chains), SimplicialComplex.void())
-    return homology(relative_chain_complex(pair)).shifted(2).betti_map()
+    return homology(relative_chain_complex((chains, True))).shifted(2).betti_map()
 
 
 def framed_betti_prediction(space, a, b, l):

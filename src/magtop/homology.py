@@ -265,16 +265,11 @@ def magnitude_chain_complex(space, a, b, l):
 
 
 def relative_chain_complex(pair):
-    """Chain complex of a simplicial pair.
-
-    Basis in degree k: the k-simplices of total outside sub.  The empty
-    simplex sits in degree -1 exactly when total is nonvoid and sub is void;
-    a nonvoid sub holds it, and a void total has none.
-    """
-    cells = pair.relative_simplices()
-    if pair.sub.is_void and not pair.total.is_void:
-        cells.append(())
-    return face_complex(cells)
+    """Chain complex of a relative order complex given as (cells, augmented):
+    the simplices outside the subcomplex, a simplex of n vertices in degree
+    n - 1, and the empty simplex in degree -1 when augmented."""
+    cells, augmented = pair
+    return face_complex(cells + [()] if augmented else cells)
 
 
 @dataclass(frozen=True)
@@ -322,7 +317,7 @@ def verify_chain_iso(space, a, b, l):
 
 def verify_suspension_shift(space, a, b, l):
     """Check MH_k against the degree-(k-2) homology of the
-    endpoint-stripped pair, including the void/empty conventions."""
+    endpoint-stripped pair, including its augmentation."""
     l = _as_fraction(l)
     lhs = homology(magnitude_chain_complex(space, a, b, l))
     rhs = homology(relative_chain_complex(inner_pair(space, a, b, l)))

@@ -261,7 +261,7 @@ def is_smooth(space, seq, k):
     """
     if k <= 0 or k >= len(seq) - 1:
         return False
-    d = space.dist
+    d = space._scaled[1]
     return d[seq[k - 1]][seq[k]] + d[seq[k]][seq[k + 1]] == d[seq[k - 1]][seq[k + 1]]
 
 

@@ -1,11 +1,8 @@
 """Brute-force views of magtop's complexes and posets, for the tests.
 
 The program builds its complexes from chains it knows to be closed under
-faces and never lists, counts or searches them; these helpers do that for
-the tests.
+faces and never checks that; these helpers do, for the tests.
 """
-
-from magtop.causal import SimplicialComplex
 
 # the 6-vertex, 10-triangle RP^2, whose reduced homology is Z/2 in degree 1
 RP2 = [
@@ -14,14 +11,21 @@ RP2 = [
 ]
 
 
+def closed_under_faces(cells):
+    """Whether every nonempty face of every cell is a cell."""
+    have = set(cells)
+    return all(
+        s[:i] + s[i + 1:] in have for s in have if len(s) > 1 for i in range(len(s))
+    )
+
+
 def complex_of(simplices):
-    """Nonvoid complex on simplices, which must be closed under faces."""
-    return SimplicialComplex(False, (tuple(sorted(s)) for s in simplices))
-
-
-def simplices(cx):
-    """The nonempty simplices of a complex, by size, then lexicographic."""
-    return sorted(cx._sims, key=lambda s: (len(s), s))
+    """The simplices, each sorted, by size and then lexicographic; they must
+    be nonempty and closed under faces."""
+    cells = sorted({tuple(sorted(s)) for s in simplices}, key=lambda s: (len(s), s))
+    assert all(cells), "the empty simplex is not a cell here"
+    assert closed_under_faces(cells), "not closed under faces"
+    return cells
 
 
 def poset_laws(poset):

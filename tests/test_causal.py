@@ -1,5 +1,6 @@
 """Light-like sequence enumeration, causal posets, and relative complexes."""
 
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -8,8 +9,6 @@ import pytest
 from magtop.causal import (
     CausalPoint,
     CausalPoset,
-    SimplicialComplex,
-    SimplicialPair,
     _stamps,
     achievable_lengths,
     essential_poset,
@@ -19,6 +18,8 @@ from magtop.causal import (
     pair_achievable_lengths,
     seq_time_stamps,
 )
+from magtop.docs import load_fixture, space_from_doc
+from magtop.homology import relative_chain_complex
 from magtop.metric import (
     from_distance_matrix,
     from_weighted_graph,
@@ -26,7 +27,7 @@ from magtop.metric import (
 )
 from magtop.series import perturbative_inverse
 from lengths import min_positive_distance, seq_length
-from simplicial import complex_of, poset_laws, simplices
+from simplicial import closed_under_faces, complex_of, poset_laws
 
 F = Fraction
 
@@ -196,22 +197,23 @@ def test_essential_poset_vertices_at_scale_six():
     assert not poset.leq((0, 0), (2, 1))
 
 
+def by_size(cells):
+    return sorted(cells, key=lambda s: (len(s), s))
+
+
 def test_inner_pair_vertices_at_scale_six():
     sp = sixths_space()
-    # d(a,c) = l = 5/6: the one interior point (b, 1/2), nothing short
-    pair = inner_pair(sp, 0, 2, F(5, 6))
-    assert (pair.total.state, pair.sub.state) == ("nonempty", "void")
-    assert simplices(pair.total) == [((3, 1),)]
+    # d(a,c) = l = 5/6: the one interior point (b, 1/2), nothing short, and
+    # the empty simplex is a cell
+    assert inner_pair(sp, 0, 2, F(5, 6)) == ([((3, 1),)], True)
     # l = 3/2 = 9/6: a-b-c-b-c and a-c-b-c, without the ends (0, a), (9, c)
-    pair = inner_pair(sp, 0, 2, F(3, 2))
     mid = [(3, 1), (5, 2), (7, 1)]
-    assert simplices(pair.total) == [
-        (mid[0],), (mid[1],), (mid[2],),
-        (mid[0], mid[1]), (mid[0], mid[2]), (mid[1], mid[2]),
-        tuple(mid),
-    ]
+    poset = essential_poset(sp, 0, 2, F(3, 2))
+    assert [p for p in poset.points if p not in ((0, 0), (9, 2))] == mid
     # only the two full-length chains escape the short side
-    assert pair.relative_simplices() == [(mid[1], mid[2]), tuple(mid)]
+    cells, augmented = inner_pair(sp, 0, 2, F(3, 2))
+    assert by_size(cells) == [(mid[1], mid[2]), tuple(mid)]
+    assert not augmented
 
 
 def test_poset_chains_are_ordered_subsets():
@@ -224,17 +226,50 @@ def test_poset_chains_are_ordered_subsets():
             assert poset.lt(u, v)
 
 
-def test_simplicial_complex_tri_state():
-    void = SimplicialComplex.void()
-    empty = complex_of([])
-    one = complex_of([("x",)])
-    assert void.state == "void"
-    assert empty.state == "empty"
-    assert one.state == "nonempty"
-    assert void.state != empty.state
-    assert void <= empty <= one
-    assert not (one <= empty)
-    assert simplices(one) == [("x",)]
+def chains_are_a_complex(poset, chains):
+    """Every nonempty face of every chain is a chain, and each chain rises
+    in the poset's order."""
+    return closed_under_faces(chains) and all(
+        poset.lt(u, v) for c in chains for u, v in zip(c, c[1:])
+    )
+
+
+# the seeded random spaces of the scaled-kernel tests, then fixtures
+CLOSURE_CASES = ["random-%d-%d" % (den_max, seed) for den_max in (1, 6) for seed in range(5)]
+CLOSURE_CASES += ["two_point", "k3", "k4", "c4", "p2", "p3", "s3", "sycamore_g"]
+
+
+@pytest.mark.parametrize("case", CLOSURE_CASES)
+def test_order_chains_are_closed_under_faces(case, monkeypatch):
+    # the chains of essential_poset and of the stripped poset inside
+    # inner_pair, which hands on only those that are not short
+    if case.startswith("random-"):
+        _, den_max, seed = case.split("-")
+        space = random_metric_space(5, int(seed), int(den_max))
+    else:
+        space = space_from_doc(load_fixture(case))
+    seen = []
+    chains_of = CausalPoset.chains
+
+    def recorded(poset):
+        chains = chains_of(poset)
+        seen.append((poset, chains))
+        return chains
+
+    monkeypatch.setattr(CausalPoset, "chains", recorded)
+    checked = 0
+    for l in achievable_lengths(space, 3):
+        for a in range(space.n):
+            for b in range(space.n):
+                essential_poset(space, a, b, l).chains()
+                if l > 0:
+                    inner_pair(space, a, b, l)
+                for poset, chains in seen:
+                    assert len(set(chains)) == len(chains), (a, b, l)
+                    assert chains_are_a_complex(poset, chains), (a, b, l)
+                    checked += len(chains)
+                seen.clear()
+    assert checked
 
 
 def closure(*facets):
@@ -250,85 +285,85 @@ def closure(*facets):
 
 def test_simplicial_complex_face_closure():
     tri = complex_of(closure(("a", "b", "c")))
-    assert len(simplices(tri)) == 7
-    assert ("a", "c") in simplices(tri)
+    assert len(tri) == 7
+    assert ("a", "c") in tri
+    # sorted by size, then lexicographically
+    assert complex_of(closure(("a", "b", "c"), ("d", "b"))) == [
+        ("a",), ("b",), ("c",), ("d",),
+        ("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"),
+        ("a", "b", "c"),
+    ]
     if __debug__:  # a shape check, skipped under python -O
         with pytest.raises(AssertionError):
             complex_of([("a", "b")])  # vertices missing, not closed
 
 
-def test_simplicial_pair_relative_simplices():
-    total = complex_of(closure(("a", "b")))
-    sub = complex_of([("a",)])
-    pair = SimplicialPair(total, sub)
-    assert pair.relative_simplices() == [("b",), ("a", "b")]
-    if __debug__:  # a shape check, skipped under python -O
-        with pytest.raises(AssertionError):
-            SimplicialPair(sub, total)
-    # a void sub leaves every simplex, sorted by size then lexicographically
-    big = complex_of(closure(("a", "b", "c"), ("b", "d")))
-    everything = SimplicialPair(big, SimplicialComplex.void())
-    assert everything.relative_simplices() == [
-        ("a",), ("b",), ("c",), ("d",),
-        ("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"),
-        ("a", "b", "c"),
-    ]
-    assert everything.relative_simplices() == simplices(big)
-    # a sub equal to the total leaves nothing, and so does a void total
-    assert SimplicialPair(big, big).relative_simplices() == []
-    void = SimplicialComplex.void()
-    assert SimplicialPair(void, void).relative_simplices() == []
-
-
 def test_order_complex_pair_zero_length_conventions():
     sp = unit_complete(2)
-    # no chain undercuts l = 0, so the short side is empty, not void
+    # no chain undercuts l = 0, but the short side still holds the empty
+    # simplex: the one point is a cell and the empty simplex is not
     same = order_complex_pair(sp, 0, 0, F(0))
-    assert same.total.state == "nonempty"
-    assert same.sub.state == "empty"
-    assert same.relative_simplices() == [((0, 0),)]
+    assert same == ([((0, 0),)], False)
+    assert relative_chain_complex(same).basis == {0: [((0, 0),)]}
+    # no sequence: no cell at all
     apart = order_complex_pair(sp, 0, 1, F(0))
-    assert apart.total.state == "void"
-    assert apart.sub.state == "void"
+    assert apart == ([], False)
+    assert relative_chain_complex(apart).basis == {}
 
 
 def test_order_complex_relative_part_is_lightlike():
     sp = unit_complete(3)
     l = F(2)
-    pair = order_complex_pair(sp, 0, 1, l)
-    rel = set(pair.relative_simplices())
+    cells, augmented = order_complex_pair(sp, 0, 1, l)
     stamped = {_stamps(sp, s) for s in lightlike_sequences(sp, 0, 1, l)}
-    assert rel == stamped
+    assert set(cells) == stamped and len(cells) == len(stamped)
+    assert not augmented
 
 
 def test_inner_pair_case_table():
     two = unit_complete(2)
     # distance exceeds l: nothing to see
-    pair = inner_pair(two, 0, 1, F(1, 2))
-    assert (pair.total.state, pair.sub.state) == ("void", "void")
-    # distance equals l, no interior essential points
+    assert inner_pair(two, 0, 1, F(1, 2)) == ([], False)
+    # distance equals l, no interior essential points: the empty simplex
+    # alone, one class in degree -1
     pair = inner_pair(two, 0, 1, F(1))
-    assert (pair.total.state, pair.sub.state) == ("empty", "void")
-    # distance equals l with a smooth midpoint
+    assert pair == ([], True)
+    assert relative_chain_complex(pair).basis[-1] == [()]
+    # distance equals l with a smooth midpoint: the point and the empty
+    # simplex
     pth = path_space()
     pair = inner_pair(pth, 0, 2, F(2))
-    assert (pair.total.state, pair.sub.state) == ("nonempty", "void")
-    # distance below l, midpoint present, nothing undercuts l
+    assert pair == ([((1, 1),)], True)
+    assert relative_chain_complex(pair).basis[-1] == [()]
+    # distance below l, midpoint present, nothing undercuts l, and the
+    # short side holds the empty simplex
     k3 = unit_complete(3)
     pair = inner_pair(k3, 0, 1, F(2))
-    assert (pair.total.state, pair.sub.state) == ("nonempty", "empty")
+    assert pair == ([((1, 2),)], False)
+    assert -1 not in relative_chain_complex(pair).basis
     with pytest.raises(ValueError):
         inner_pair(two, 0, 1, F(0))
 
 
 def test_inner_pair_short_side():
-    # l = 3 between adjacent points of K3: the single causal point (c, 1)
-    # admits the shortcut a-c-b of length 2 below 3
+    # l = 3 between adjacent points of K3: the causal point (c, 1) admits
+    # the shortcut a-c-b of length 2 below 3, so its chain is no cell
     k3 = unit_complete(3)
-    pair = inner_pair(k3, 0, 1, F(3))
-    assert pair.sub.state == "nonempty"
-    short = set(simplices(pair.sub))
-    assert ((1, 2),) in short
+    assert (1, 2) in essential_poset(k3, 0, 1, F(3)).points
+    cells, augmented = inner_pair(k3, 0, 1, F(3))
+    assert ((1, 2),) not in cells
+    assert cells and not augmented
+
+
+def test_inner_pair_geodesic_side_has_no_short_chain(monkeypatch):
+    # at d(a, b) = l a short chain would be an internal fault: the short
+    # side is void there
+    causal = importlib.import_module("magtop.causal")
+    monkeypatch.setattr(causal, "scaled_length", lambda *args: -1)
+    assert inner_pair(unit_complete(3), 0, 1, F(2)) == ([], False)
+    if __debug__:  # a plain assert, skipped under python -O
+        with pytest.raises(AssertionError, match="a chain undercuts l"):
+            inner_pair(path_space(), 0, 2, F(2))
 
 
 def test_constant_poset_chain_has_no_repeats():

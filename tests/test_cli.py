@@ -367,6 +367,18 @@ def test_verify_kunneth_wants_two_inputs(capsys):
     assert "wants 2 input document(s)" in err
 
 
+def test_fixture_refuses_paths(capsys, tmp_path):
+    # a fixture is a plain name: a path, even one that reaches a shipped
+    # fixture or a file that is no UTF-8, is an unknown fixture
+    shipped = os.path.join(os.path.dirname(magtop.__file__), "fixtures", "k3")
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b"\xff\xfe")
+    for name in (shipped, "../fixtures/k3", str(tmp_path / "latin")):
+        code, out, err = run(capsys, ["lengths", "fixture:" + name, "--lmax", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: unknown fixture %r\n" % (name,)
+
+
 def test_random_space_inputs(capsys):
     code, out, _ = run(
         capsys, ["lengths", "random:4", "--lmax", "2", "--seed", "7"]
@@ -783,8 +795,9 @@ def test_verifier_fail_branch(capsys, monkeypatch, case):
 # the critical cells differ from the sticky-free ones, with every point
 # smooth a full-length face escapes the interior of the attached side,
 # with no chain short the relative chains outnumber the stamped sequences,
-# with every chain short a plain assert fails (under -O the relative-part
-# check still catches it), and with the identity for Z^-1 the euler
+# with every chain short there are none, fewer than the stamped sequences
+# (the same relative-part check, under -O too), and with the identity for
+# Z^-1 the euler
 # certificate Z X = I fails; the last two stubs raise exceptions that no
 # exit code names, which are defects as well
 FAULTS = [

@@ -9,8 +9,6 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from magtop.causal import (
-    SimplicialComplex,
-    SimplicialPair,
     inner_pair,
     lightlike_sequences,
     pair_achievable_lengths,
@@ -132,41 +130,40 @@ def test_homology_summary_algebra():
 
 def test_circle_complex_has_expected_homology():
     # triangle boundary: one loop
-    cpx = complex_of(
+    cells = complex_of(
         [("a",), ("b",), ("c",), ("a", "b"), ("b", "c"), ("a", "c")]
     )
-    # an empty sub gives the unreduced homology
-    pair = SimplicialPair(cpx, complex_of([]))
-    summary = homology(relative_chain_complex(pair))
+    # a sub of only the empty simplex gives the unreduced homology
+    rel = relative_chain_complex((cells, False))
+    assert -1 not in rel.basis
+    summary = homology(rel)
     assert summary.betti_map() == {0: 1, 1: 1}
     assert summary.torsion == ()
-    # a void sub gives the reduced homology
-    pair = SimplicialPair(cpx, SimplicialComplex.void())
-    assert homology(relative_chain_complex(pair)).betti_map() == {1: 1}
+    # a void sub leaves the empty simplex a cell: the reduced homology
+    rel = relative_chain_complex((cells, True))
+    assert rel.basis[-1] == [()]
+    assert homology(rel).betti_map() == {1: 1}
 
 
 def test_relative_complex_augmentation_cases():
-    # the pair's states alone decide whether the empty simplex is a cell
-    void = SimplicialComplex.void()
-    empty = complex_of([])
-    point = complex_of([("x",)])
-    # nothing at all: a void total has no cells, not even the empty one
-    cc = relative_chain_complex(SimplicialPair(void, void))
+    # augmented alone decides whether the empty simplex is a cell
+    # nothing at all: no cells, not even the empty one
+    cc = relative_chain_complex(([], False))
     assert cc.basis == {} and homology(cc) == HomologySummary()
     # the empty simplex alone carries one class in degree -1
-    cc = relative_chain_complex(SimplicialPair(empty, void))
+    cc = relative_chain_complex(([], True))
     assert cc.basis == {-1: [()]}
     assert homology(cc).betti == ((-1, 1),)
-    # a point over a void sub is augmented, and so acyclic
-    s = homology(relative_chain_complex(SimplicialPair(point, void)))
-    assert s == HomologySummary()
-    # an empty subcomplex swallows the empty simplex
-    cc = relative_chain_complex(SimplicialPair(point, empty))
+    # a point with the empty simplex is augmented, and so acyclic
+    point = [("x",)]
+    cc = relative_chain_complex((point, True))
+    assert cc.basis[-1] == [()]
+    assert homology(cc) == HomologySummary()
+    assert point == [("x",)]  # the caller's cells stay as they were
+    # without the empty simplex the point carries a class in degree 0
+    cc = relative_chain_complex((point, False))
     assert cc.basis == {0: [("x",)]}
     assert homology(cc).betti == ((0, 1),)
-    # so does a nonempty one, and an empty pair has no cells
-    assert relative_chain_complex(SimplicialPair(point, point)).basis == {}
-    assert relative_chain_complex(SimplicialPair(empty, empty)).basis == {}
 
 
 def test_magnitude_chain_complex_boundary_drops_interior():
@@ -307,26 +304,31 @@ def test_suspension_shift_over_small_corpus():
 
 
 def test_suspension_worked_contrast_at_length_two():
-    # K3 pair: stripped total is a point, sub only the empty simplex
+    # K3 pair: the stripped interval is a point, and the short side holds
+    # the empty simplex, so the point carries a class
     k3 = fixture_space("k3")
+    c = k3.index("c")
     pair = inner_pair(k3, 0, 1, F(2))
-    assert (pair.total.state, pair.sub.state) == ("nonempty", "empty")
+    assert pair == ([((1, c),)], False)
+    assert -1 not in relative_chain_complex(pair).basis
     assert homology(magnitude_chain_complex(k3, 0, 1, F(2))).betti == ((2, 1),)
-    # path a-c-b: same total, but the sub side is void, so the class dies
+    # path a-c-b: the same point, but the short side is void, so the empty
+    # simplex is a cell and the class dies
     p2 = fixture_space("p2")
-    a, b = p2.index("a"), p2.index("b")
+    a, b, c = p2.index("a"), p2.index("b"), p2.index("c")
     pair = inner_pair(p2, a, b, F(2))
-    assert (pair.total.state, pair.sub.state) == ("nonempty", "void")
+    assert pair == ([((1, c),)], True)
+    assert relative_chain_complex(pair).basis[-1] == [()]
     assert homology(magnitude_chain_complex(p2, a, b, F(2))) == HomologySummary()
 
 
 def test_two_point_shift_from_empty_interval():
     # adjacent pair at l = d: group Z in degree 1 from the degree -1 class
     two = fixture_space("two_point")
-    # the interval is empty and nothing is short, so (empty, void): the
-    # pair itself adds the empty simplex
+    # the interval is empty and nothing is short, so the empty simplex is
+    # the one cell
     pair = inner_pair(two, 0, 1, F(1))
-    assert (pair.total.state, pair.sub.state) == ("empty", "void")
+    assert pair == ([], True)
     rel = relative_chain_complex(pair)
     assert rel.basis == {-1: [()]}
     s = homology(rel)
