@@ -160,7 +160,14 @@ def load_doc(path):
 
 
 def load_fixture(name):
-    """Parsed JSON for a named fixture shipped with the package."""
-    ref = resources.files("magtop").joinpath("fixtures", name + ".json")
-    with ref.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parsed JSON for a named fixture shipped with the package; a name that
+    is a path, that names no fixture or whose file is not JSON is refused."""
+    # a shipped fixture has a plain name: a path would leave the package
+    if not any(part in name for part in ("/", "\\", "..")):
+        ref = resources.files("magtop").joinpath("fixtures", name + ".json")
+        try:
+            with ref.open("r", encoding="utf-8") as fh:
+                return json.load(fh)
+        except (OSError, json.JSONDecodeError):
+            pass
+    raise DocumentError("unknown fixture %r" % (name,))

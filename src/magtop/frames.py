@@ -46,10 +46,10 @@ def _frame_steps(space, allowed):
 
 
 def _four_cut_threshold(space):
-    """m_X of four_cuts, computed on first use and kept on the space."""
+    """m_X from four_cuts, computed on first use and kept on the space."""
     m_x = getattr(space, "_m_x", None)
     if m_x is None:
-        m_x = four_cuts(space)[1]
+        m_x = four_cuts(space)
         object.__setattr__(space, "_m_x", m_x)
     return m_x
 

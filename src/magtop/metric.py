@@ -6,6 +6,9 @@ fractions.Fraction values in the API and floats are rejected outright.  The
 hot kernels compare integers instead: each space multiplies its distances
 once by their least common denominator (its scale), and a sum of distances
 is then an exact integer multiple of 1/scale.
+
+from_weighted_graph is the one routine that completes a distance matrix by
+shortest paths; a glued space is the shortest-path metric of its two halves.
 """
 
 from __future__ import annotations
@@ -159,7 +162,9 @@ def from_weighted_graph(vertices, edges):
     """Shortest-path metric of a connected, positively weighted graph.
 
     edges is an iterable of (u, v, weight) with vertex labels; parallel
-    edges keep the lightest weight.
+    edges keep the lightest weight.  This is the one routine that completes
+    a distance matrix: graph documents, Hasse graphs and glued spaces all
+    come through it.
     """
     labels = tuple(vertices)
     n = len(labels)
@@ -168,8 +173,7 @@ def from_weighted_graph(vertices, edges):
     if len(set(labels)) != n:
         raise MetricError("duplicate vertex labels")
     idx = {v: i for i, v in enumerate(labels)}
-    big = None  # None encodes "not yet reachable"
-    d = [[Fraction(0) if i == j else big for j in range(n)] for i in range(n)]
+    lightest = {}  # (i, j) with i < j -> lightest weight of an i-j edge
     for u, v, w in edges:
         if u not in idx or v not in idx:
             raise MetricError("edge endpoint %r is not a listed vertex" % (u if u not in idx else v,))
@@ -178,33 +182,28 @@ def from_weighted_graph(vertices, edges):
             raise NonpositiveWeight("edge (%s,%s) has weight %s" % (u, v, w))
         if u == v:
             raise MetricError("self-loop at %s" % (u,))
-        i, j = idx[u], idx[v]
-        if d[i][j] is None or w < d[i][j]:
-            d[i][j] = w
-            d[j][i] = w
-    # shortest paths on the weights times their least common denominator
-    scale = math.lcm(*(w.denominator for row in d for w in row if w is not None))
-    d = [
-        [None if w is None else w.numerator * (scale // w.denominator) for w in row]
-        for row in d
-    ]
+        pair = (min(idx[u], idx[v]), max(idx[u], idx[v]))
+        if pair not in lightest or w < lightest[pair]:
+            lightest[pair] = w
+    # shortest paths on the weights times their least common denominator;
+    # a shortest path uses no edge twice, so `far` stands for infinity
+    scale = math.lcm(*(w.denominator for w in lightest.values()))
+    scaled = {pair: w.numerator * (scale // w.denominator) for pair, w in lightest.items()}
+    far = sum(scaled.values()) + 1
+    d = [[0 if i == j else far for j in range(n)] for i in range(n)]
+    for (i, j), w in scaled.items():
+        d[i][j] = d[j][i] = w
     for k in range(n):
         row_k = d[k]
-        for i in range(n):
-            d_ik = d[i][k]
-            if d_ik is None:
-                continue
-            row_i = d[i]
+        for row_i in d:
+            d_ik = row_i[k]
             for j in range(n):
-                if row_k[j] is None:
-                    continue
                 via = d_ik + row_k[j]
-                if row_i[j] is None or via < row_i[j]:
+                if via < row_i[j]:
                     row_i[j] = via
-                    d[j][i] = via
     for i in range(n):
         for j in range(n):
-            if d[i][j] is None:
+            if d[i][j] == far:
                 raise DisconnectedGraph("no path between %s and %s" % (labels[i], labels[j]))
     return MetricSpace(labels, tuple(tuple(Fraction(v, scale) for v in row) for row in d))
 
@@ -266,16 +265,14 @@ def is_smooth(space, seq, k):
 
 
 def four_cuts(space):
-    """All length-minimal obstruction quadruples and the threshold m_X.
+    """The threshold m_X: the least length of an obstruction quadruple.
 
     A quadruple (x0,x1,x2,x3) qualifies when both interior points are
     smooth, dropping either one preserves the total length, and the direct
-    distance d(x0,x3) is strictly smaller.  Returns (quadruples, m_X) where
-    m_X is the minimal length of a qualifying quadruple, INFINITE if none.
+    distance d(x0,x3) is strictly smaller.  INFINITE if none qualifies.
     """
     scale, d = space._scaled
     n = space.n
-    found = []
     m_x = INFINITE
     for x0 in range(n):
         for x1 in range(n):
@@ -292,11 +289,9 @@ def four_cuts(space):
                     if d[x1][x2] + d[x2][x3] != d[x1][x3]:
                         continue
                     total = d[x0][x1] + d[x1][x2] + d[x2][x3]
-                    if d[x0][x3] < total:
-                        found.append((x0, x1, x2, x3))
-                        if total < m_x:
-                            m_x = total
-    return found, m_x if m_x is INFINITE else Fraction(m_x, scale)
+                    if d[x0][x3] < total < m_x:
+                        m_x = total
+    return m_x if m_x is INFINITE else Fraction(m_x, scale)
 
 
 @dataclass(frozen=True)
@@ -322,7 +317,13 @@ class GluingSpec:
 
 
 def glue(g, h, k_in_g, k_in_h):
-    """Glue g and h along K, metrized by shortest crossings through K."""
+    """Glue g and h along K: the shortest-path metric of both halves,
+    with every pair distance of each as an edge and K shared.
+
+    Since K sits isometrically in both, d(x, y) for x in g and y in h is
+    the least d_g(x, k) + d_h(k, y) over k in K, and each half keeps its
+    own distances.
+    """
     k_in_g = tuple(k_in_g)
     k_in_h = tuple(k_in_h)
     if len(k_in_g) == 0:
@@ -343,32 +344,20 @@ def glue(g, h, k_in_g, k_in_h):
     labels = list(g.labels) + [h.labels[j] for j in interior_h_idx]
     if len(set(labels)) != len(labels):
         raise MetricError("label collision between g and interior of h")
-    n = len(labels)
     h_to_x = [None] * h.n
     for t in range(m):
         h_to_x[k_in_h[t]] = k_in_g[t]
     for rank, j in enumerate(interior_h_idx):
         h_to_x[j] = g.n + rank
     h_to_x = tuple(h_to_x)
-
-    dist = [[None] * n for _ in range(n)]
-    for i in range(g.n):
-        for j in range(g.n):
-            dist[i][j] = g.dist[i][j]
-    for a_h in range(h.n):
-        for b_h in range(h.n):
-            i, j = h_to_x[a_h], h_to_x[b_h]
-            dist[i][j] = h.dist[a_h][b_h]
-    for i in range(g.n):
-        for rank, j_h in enumerate(interior_h_idx):
-            j = g.n + rank
-            best = min(
-                g.dist[i][k_in_g[t]] + h.dist[k_in_h[t]][j_h] for t in range(m)
-            )
-            dist[i][j] = best
-            dist[j][i] = best
-    space = MetricSpace(tuple(labels), tuple(tuple(row) for row in dist))
-
+    # K is isometric in both halves, so a shortest path crosses it once
+    edges = [
+        (labels[x[i]], labels[x[j]], side.dist[i][j])
+        for side, x in ((g, range(g.n)), (h, h_to_x))
+        for i in range(side.n)
+        for j in range(i + 1, side.n)
+    ]
+    space = from_weighted_graph(labels, edges)
     kset = frozenset(k_in_g)
     classes = [1 if i in kset else 0 for i in range(g.n)]
     gates = {}

@@ -192,7 +192,7 @@ def test_frames_match_brute_force_on_random_spaces():
     for den_max in (1, 6):
         for seed in range(5):
             x = random_metric_space(5, seed, den_max)
-            m_x = four_cuts(x)[1]
+            m_x = four_cuts(x)
             brute = brute_sequences(x, 3)
             assert sorted(brute) == achievable_lengths(x, 3)
             for l, seqs in brute.items():
@@ -221,7 +221,7 @@ def test_prediction_matches_homology_on_fixtures():
         weighted_path(),
     ]
     for x in corpus:
-        assert four_cuts(x)[1] is INFINITE
+        assert four_cuts(x) is INFINITE
         for l in achievable_lengths(x, 3):
             for a in range(x.n):
                 for b in range(x.n):
@@ -233,7 +233,7 @@ def test_prediction_matches_homology_on_fixtures():
 def test_prediction_matches_homology_on_random_spaces():
     for seed in (0, 1, 2):
         x = random_metric_space(4, seed)
-        assert four_cuts(x)[1] is INFINITE
+        assert four_cuts(x) is INFINITE
         for l in achievable_lengths(x, 2):
             for a in range(x.n):
                 for b in range(x.n):
@@ -280,7 +280,7 @@ def test_thin_frames_skip_steps_with_interval_points():
 
 def test_four_cut_obstruction_on_cycle():
     x = c4()
-    assert four_cuts(x)[1] == 3
+    assert four_cuts(x) == 3
     with pytest.raises(FourCutObstruction, match="threshold 3"):
         singular_sequences(x, 0, 1, 3)
     with pytest.raises(FourCutObstruction):

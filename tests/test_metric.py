@@ -1,6 +1,7 @@
 """Distance matrices, graph metrics, products and gluings."""
 
 import inspect
+import random
 from fractions import Fraction
 
 import pytest
@@ -220,16 +221,12 @@ def test_four_cuts_on_cycle_and_trees():
         ("a", "b", "c", "d"),
         [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1)],
     )
-    quads, m_x = four_cuts(c4)
-    assert m_x == 3
-    assert quads
-    x0, x1, x2, x3 = quads[0]
-    assert c4.dist[x0][x3] < seq_length(c4, (x0, x1, x2, x3))
+    assert four_cuts(c4) == 3
     path = from_weighted_graph(
         ("a", "b", "c", "d"), [("a", "b", 1), ("b", "c", 1), ("c", "d", 1)]
     )
-    assert four_cuts(path) == ([], INFINITE)
-    assert four_cuts(unit_complete(4)) == ([], INFINITE)
+    assert four_cuts(path) is INFINITE
+    assert four_cuts(unit_complete(4)) is INFINITE
 
 
 def class_set(gspec, c):
@@ -313,6 +310,77 @@ def test_glue_projection_distances_minimize_over_k():
     assert gl.space.dist[u][v] == 2  # min over p and q crossings
     assert v in class_set(gl, 3)
     assert_class_partition(gl)
+
+
+def crossing_oracle(g, h, k_in_g, k_in_h):
+    """(labels, h_to_x, dist) of a gluing built block by block: g's
+    distances, h's moved through h_to_x, and between interior points of
+    the two sides the least crossing d_g(x, k) + d_h(k, y) over k in K."""
+    interior_h = [j for j in range(h.n) if j not in k_in_h]
+    labels = g.labels + tuple(h.labels[j] for j in interior_h)
+    h_to_x = [None] * h.n
+    for kg, kh in zip(k_in_g, k_in_h):
+        h_to_x[kh] = kg
+    for rank, j in enumerate(interior_h):
+        h_to_x[j] = g.n + rank
+    n = len(labels)
+    dist = [[None] * n for _ in range(n)]
+    for i in range(g.n):
+        for j in range(g.n):
+            dist[i][j] = g.dist[i][j]
+    for a in range(h.n):
+        for b in range(h.n):
+            dist[h_to_x[a]][h_to_x[b]] = h.dist[a][b]
+    for i in range(g.n):
+        for j in interior_h:
+            best = min(g.dist[i][kg] + h.dist[kh][j] for kg, kh in zip(k_in_g, k_in_h))
+            dist[i][h_to_x[j]] = dist[h_to_x[j]][i] = best
+    return labels, tuple(h_to_x), tuple(tuple(row) for row in dist)
+
+
+def assert_glued_by_crossings(gl):
+    assert (gl.space.labels, gl.h_to_x, gl.space.dist) == crossing_oracle(
+        gl.g, gl.h, gl.k_in_g, gl.k_in_h
+    )
+
+
+def random_gluing(seed, den_max):
+    """Two restrictions of one random space that share a nonempty K, each
+    listing its points in its own shuffled order."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    whole = random_metric_space(n, seed, den_max)
+    points = list(range(n))
+    rng.shuffle(points)
+    cut_k, cut_h = sorted(rng.sample(range(1, n + 1), 2))
+    k = points[:cut_k]
+    g_points = points[cut_h:] + k
+    h_points = k + points[cut_k:cut_h]
+    rng.shuffle(g_points)
+    rng.shuffle(h_points)
+    g = restriction(whole, g_points)
+    h = restriction(whole, h_points)
+    k_in_g = tuple(g_points.index(p) for p in k)
+    k_in_h = tuple(h_points.index(p) for p in k)
+    return glue(g, h, k_in_g, k_in_h)
+
+
+@pytest.mark.parametrize("den_max", [1, 6])
+def test_glue_matches_crossing_oracle_on_random_gluings(den_max):
+    for seed in range(20):
+        assert_glued_by_crossings(random_gluing(seed, den_max))
+
+
+def test_glue_matches_crossing_oracle_on_fixtures():
+    twist = twist_from_doc(load_fixture("sycamore_twist"))
+    back = twist.reverse()
+    for gl in (
+        gluing_from_doc(load_fixture("mv_triangles")),
+        gluing_from_doc(load_fixture("sycamore_gluing")),
+        twist.x, twist.y, back.x, back.y,
+    ):
+        assert_glued_by_crossings(gl)
+        assert_class_partition(gl)
 
 
 def test_random_metric_space_is_reproducible():

@@ -197,7 +197,6 @@ def inner_pair_fraction(space, a, b, l):
 def four_cuts_fraction(space):
     d = space.dist
     n = space.n
-    found = []
     m_x = INFINITE
     for x0 in range(n):
         for x1 in range(n):
@@ -210,11 +209,9 @@ def four_cuts_fraction(space):
                     if x3 == x2 or d[x1][x2] + d[x2][x3] != d[x1][x3]:
                         continue
                     total = d[x0][x1] + d[x1][x2] + d[x2][x3]
-                    if d[x0][x3] < total:
-                        found.append((x0, x1, x2, x3))
-                        if total < m_x:
-                            m_x = total
-    return found, m_x
+                    if d[x0][x3] < total < m_x:
+                        m_x = total
+    return m_x
 
 
 def shortest_paths_fraction(n, weighted):
@@ -386,8 +383,8 @@ def test_lengths_match_fraction_kernel(den_max, seed):
 @pytest.mark.parametrize("den_max,seed", SPACES)
 def test_four_cuts_and_frames_match_fraction_kernel(den_max, seed):
     space = random_metric_space(5, seed, den_max)
-    found, m_x = four_cuts(space)
-    assert (found, m_x) == four_cuts_fraction(space)
+    m_x = four_cuts(space)
+    assert m_x == four_cuts_fraction(space)
     assert m_x is INFINITE or type(m_x) is F
     n = space.n
     every = [[y for y in range(n) if y != x] for x in range(n)]
@@ -419,9 +416,9 @@ def test_four_cuts_threshold_is_a_fraction_on_scaled_space():
         "abcd", [("a", "b", F(1, 2)), ("b", "c", F(2, 3)), ("c", "d", F(3, 4)), ("d", "a", 1)]
     )
     assert sp._scaled[0] == 12
-    found, m_x = four_cuts(sp)
-    assert (found, m_x) == four_cuts_fraction(sp)
-    assert found and type(m_x) is F and m_x.denominator != 1
+    m_x = four_cuts(sp)
+    assert m_x == four_cuts_fraction(sp)
+    assert type(m_x) is F and m_x.denominator != 1
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -188,8 +188,8 @@ def test_inverse_routes_agree():
         inv = z_inverse(sp, F(3))
         for a in range(sp.n):
             for b in range(sp.n):
-                assert inv.entry(a, b) == perturbative_inverse(
-                    sp, a, b, F(3)
+                assert inv.entry(a, b) == HahnPolynomial(
+                    perturbative_inverse(sp, a, b, F(3)), F(3)
                 ), (seed, a, b)
 
 
@@ -235,10 +235,10 @@ def test_path_sum_is_the_homology_euler_characteristic(name):
         for b in range(sp.n):
             path_sum = perturbative_inverse(sp, a, b, lmax)
             lengths = pair_achievable_lengths(sp, a, b, lmax)
-            assert set(path_sum.support()) <= set(lengths)
+            assert list(path_sum) == lengths
             for l in lengths:
                 summary = homology(magnitude_chain_complex(sp, a, b, l))
-                assert path_sum.coefficient(l) == betti_euler(summary), (a, b, l)
+                assert path_sum[l] == betti_euler(summary), (a, b, l)
 
 
 def test_path_sum_ignores_torsion_on_the_rp2_hasse_pair():
@@ -249,7 +249,7 @@ def test_path_sum_ignores_torsion_on_the_rp2_hasse_pair():
     a, b = x.index(hg.zero), x.index(hg.one)
     summary = homology(magnitude_chain_complex(x, a, b, hg.l))
     assert (summary.betti, summary.torsion) == ((), ((3, (2,)),))
-    assert perturbative_inverse(x, a, b, hg.l).coefficient(hg.l) == 0
+    assert perturbative_inverse(x, a, b, hg.l)[hg.l] == 0
 
 
 def test_euler_check_builds_no_complex(monkeypatch):
