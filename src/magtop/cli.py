@@ -188,10 +188,12 @@ def _pair_check(task):
 
 
 def _groups(s):
-    """The nonzero groups of homology summary s, by degree."""
+    """The nonzero groups of homology summary s, by degree, torsion as
+    invariant factors."""
+    b, t = dict(s.betti), dict(s.torsion)
     return [
-        {"k": k, "betti": s.betti_at(k), "torsion": [str(f) for f in s.torsion_at(k)]}
-        for k in sorted(set(s.betti_map()) | set(s.torsion_map()))
+        {"k": k, "betti": b.get(k, 0), "torsion": [str(f) for f in t.get(k, ())]}
+        for k in sorted(b.keys() | t.keys())
     ]
 
 
@@ -228,9 +230,7 @@ def cmd_homology(args):
         return PASS_CODE, doc, [line]
     tasks = [(space, a, b, l) for a, b in pairs]
     results = _run_tasks(_pair_homology, tasks, args.jobs)
-    total = HomologySummary()
-    for _, _, summary in results:
-        total = total.plus(summary)
+    total = HomologySummary.direct_sum(summary for _, _, summary in results)
     doc = {
         "l": format_rational(l),
         "rows": [

@@ -28,8 +28,24 @@ class BoundarySquareNonzero(InternalFault):
 
 @dataclass(frozen=True)
 class SNFResult:
-    diag: tuple  # invariant factors, positive, each dividing the next
-    rank: int
+    diag: tuple  # invariant factors, positive, each dividing the next; len is the rank
+
+
+def _invariant_factors(factors):
+    """The invariant factors of the direct sum of the cyclic groups Z/f:
+    each > 1 and dividing the next.  Exchanging a pair of factors for
+    their gcd and lcm keeps the group; after the exchanges with every
+    later factor, a factor divides all of them, so the units that the
+    exchanges leave come first, and are dropped."""
+    fs = [f for f in factors if f > 1]
+    for a in range(len(fs)):
+        for b in range(a + 1, len(fs)):
+            g = gcd(fs[a], fs[b])
+            fs[a], fs[b] = g, fs[a] * fs[b] // g
+    inv = tuple(fs[fs.count(1):])
+    for i in range(1, len(inv)):
+        assert inv[i] % inv[i - 1] == 0
+    return inv
 
 
 def _pivot(rows):
@@ -53,8 +69,8 @@ def smith_normal_form(matrix):
     reduced modulo the pivot (a column operation that changes no other
     row).  A nonzero remainder is smaller than the pivot and so becomes the
     next pivot; a pivot left alone in its row and column is recorded.  The
-    recorded non-unit pivots are brought into a divisor chain by gcd/lcm
-    exchange.
+    recorded pivots, up to sign, are brought into invariant-factor form,
+    and the units that takes away lead the diagonal.
     """
     rows = {}
     cols = {}
@@ -64,7 +80,6 @@ def smith_normal_form(matrix):
             rows[i] = entries
             for j in entries:
                 cols.setdefault(j, set()).add(i)
-    units = 0
     factors = []
     while rows:
         i, j, p = _pivot(rows)
@@ -95,18 +110,9 @@ def smith_normal_form(matrix):
             continue
         del rows[i]
         cols[j].discard(i)
-        if p in (1, -1):
-            units += 1
-        else:
-            factors.append(abs(p))
-    for a in range(len(factors)):
-        for b in range(a + 1, len(factors)):
-            g = gcd(factors[a], factors[b])
-            factors[a], factors[b] = g, factors[a] * factors[b] // g
-    diag = (1,) * units + tuple(factors)
-    for i in range(1, len(diag)):
-        assert diag[i] % diag[i - 1] == 0
-    return SNFResult(diag=diag, rank=len(diag))
+        factors.append(abs(p))
+    inv = _invariant_factors(factors)
+    return SNFResult(diag=(1,) * (len(factors) - len(inv)) + inv)
 
 
 class ChainComplex:
@@ -162,30 +168,43 @@ class ChainComplex:
 
 @dataclass(frozen=True)
 class HomologySummary:
-    """Nonzero Betti numbers and torsion, keyed by degree."""
+    """Nonzero Betti numbers and torsion, keyed by degree.
+
+    Torsion is held as invariant factors, each > 1 and dividing the next,
+    so two summaries are equal exactly when their groups are isomorphic.
+    The constructor brings any (degree, rank) and (degree, factors) pairs
+    into that form, summing repeated degrees: a direct sum is the summary
+    of its summands' pairs taken together.
+    """
 
     betti: tuple = ()     # ((degree, rank), ...)
     torsion: tuple = ()   # ((degree, (factor, ...)), ...)
 
+    def __post_init__(self):
+        betti, torsion = {}, {}
+        for k, r in self.betti:
+            betti[k] = betti.get(k, 0) + r
+        for k, f in self.torsion:
+            torsion.setdefault(k, []).extend(f)
+        betti = [(k, r) for k, r in betti.items() if r]
+        torsion = [(k, i) for k, f in torsion.items() if (i := _invariant_factors(f))]
+        object.__setattr__(self, "betti", tuple(sorted(betti)))
+        object.__setattr__(self, "torsion", tuple(sorted(torsion)))
+
     @classmethod
     def build(cls, betti_map, torsion_map):
-        betti = tuple(sorted((k, r) for k, r in betti_map.items() if r))
-        torsion = tuple(
-            sorted((k, tuple(sorted(f))) for k, f in torsion_map.items() if f)
-        )
+        return cls(betti_map.items(), torsion_map.items())
+
+    @classmethod
+    def direct_sum(cls, summaries):
+        betti, torsion = [], []
+        for s in summaries:
+            betti += s.betti
+            torsion += s.torsion
         return cls(betti, torsion)
 
     def betti_map(self):
         return dict(self.betti)
-
-    def torsion_map(self):
-        return {k: list(f) for k, f in self.torsion}
-
-    def betti_at(self, k):
-        return dict(self.betti).get(k, 0)
-
-    def torsion_at(self, k):
-        return list(dict(self.torsion).get(k, ()))
 
     def shifted(self, offset):
         return HomologySummary(
@@ -193,36 +212,16 @@ class HomologySummary:
             tuple((k + offset, f) for k, f in self.torsion),
         )
 
-    def plus(self, other):
-        betti = dict(self.betti)
-        for k, r in other.betti:
-            betti[k] = betti.get(k, 0) + r
-        torsion = {k: list(f) for k, f in self.torsion}
-        for k, f in other.torsion:
-            torsion.setdefault(k, []).extend(f)
-        return HomologySummary.build(betti, torsion)
-
 
 def homology(cc):
-    """Betti numbers and torsion of an integer chain complex."""
-    ranks = {}
-    snfs = {}
-    for k in cc.degrees():
-        res = smith_normal_form(cc.matrix(k))
-        ranks[k] = res.rank
-        snfs[k] = res
+    """Betti numbers and torsion of an integer chain complex: the torsion
+    in degree k is the invariant factors of the boundary out of k + 1."""
+    diags = {k: smith_normal_form(cc.matrix(k)).diag for k in cc.degrees()}
     betti = {}
-    torsion = {}
     for k in cc.degrees():
-        n_k = cc.rank(k)
-        r_k = ranks.get(k, 0)
-        r_up = ranks.get(k + 1, 0)
-        betti[k] = n_k - r_k - r_up
+        betti[k] = cc.rank(k) - len(diags[k]) - len(diags.get(k + 1, ()))
         assert betti[k] >= 0
-        up = snfs.get(k + 1)
-        if up is not None:
-            torsion[k] = [f for f in up.diag if f > 1]
-    return HomologySummary.build(betti, torsion)
+    return HomologySummary.build(betti, {k - 1: diag for k, diag in diags.items()})
 
 
 def face_complex(cells):
@@ -332,11 +331,11 @@ def verify_suspension_shift(space, a, b, l):
 
 def magnitude_homology_total(space, l):
     """Direct sum of MH over all ordered endpoint pairs at length l."""
-    out = HomologySummary()
-    for a in range(space.n):
-        for b in range(space.n):
-            out = out.plus(homology(magnitude_chain_complex(space, a, b, l)))
-    return out
+    return HomologySummary.direct_sum(
+        homology(magnitude_chain_complex(space, a, b, l))
+        for a in range(space.n)
+        for b in range(space.n)
+    )
 
 
 def verify_kunneth(x, y, lmax):

@@ -63,7 +63,7 @@ def interior_part_betti(gspec, l):
     h = gspec.h
     l = _as_fraction(l)
     inside_k = frozenset(gspec.k_in_h)
-    total = HomologySummary()
+    parts = []
     for a in range(h.n):
         for b in range(h.n):
             cells = []
@@ -76,28 +76,37 @@ def interior_part_betti(gspec, l):
                 if outside:
                     cells.append(seq)
             if cells:
-                total = total.plus(homology(face_complex(cells)))
-    return total
-
-
-def _lengths(spaces, lmax):
-    out = set()
-    for s in spaces:
-        out.update(achievable_lengths(s, lmax))
-    return sorted(out)
+                parts.append(homology(face_complex(cells)))
+    return HomologySummary.direct_sum(parts)
 
 
 def _compare(rows, problems, l, left, right, tag):
-    degrees = sorted(set(left.betti_map()) | set(right.betti_map()))
-    for k in degrees:
-        lr = left.betti_at(k)
-        rr = right.betti_at(k)
+    lb, rb = dict(left.betti), dict(right.betti)
+    for k in sorted(lb.keys() | rb.keys()):
+        lr, rr = lb.get(k, 0), rb.get(k, 0)
         rows.append((l, k, lr, rr, lr == rr))
         if lr != rr:
             problems.append("%s rank at length %s degree %d: %d vs %d"
                             % (tag, l, k, lr, rr))
-    if left.torsion_map() != right.torsion_map():
-        problems.append("%s torsion differs at length %s" % (tag, l))
+    lt, rt = dict(left.torsion), dict(right.torsion)
+    for k in sorted(lt.keys() | rt.keys()):
+        if lt.get(k) != rt.get(k):
+            problems.append("%s torsion at length %s degree %d: %s vs %s"
+                            % (tag, l, k, lt.get(k, ()), rt.get(k, ())))
+
+
+def _additivity(tag, claim, lmax, spaces, sides):
+    """The verdict that two direct sums agree at every length up to lmax
+    that one of spaces achieves; sides(l) gives the two lists of summands."""
+    lmax = _as_fraction(lmax)
+    lengths = sorted(set().union(*(achievable_lengths(s, lmax) for s in spaces)))
+    rows = []
+    problems = []
+    for l in lengths:
+        left, right = map(HomologySummary.direct_sum, sides(l))
+        _compare(rows, problems, l, left, right, tag)
+    detail = "; ".join(problems) or "%s up to q^%s" % (claim, lmax)
+    return VerifyReport(not problems, detail, tuple(rows))
 
 
 def verify_union(gluing, lmax):
@@ -105,19 +114,14 @@ def verify_union(gluing, lmax):
     refusal = check_gated(gluing)
     if refusal is not None:
         return refusal
-    lmax = _as_fraction(lmax)
-    rows = []
-    problems = []
-    for l in _lengths((gluing.space, gluing.g, gluing.h), lmax):
-        whole = magnitude_homology_total(gluing.space, l)
-        split = interior_part_betti(gluing, l).plus(
-            magnitude_homology_total(gluing.g, l)
-        )
-        _compare(rows, problems, l, whole, split, "union")
-    detail = "; ".join(problems) if problems else (
-        "interior part plus base side matches up to q^%s" % (lmax,)
+    x, g = gluing.space, gluing.g
+    return _additivity(
+        "union", "interior part plus base side matches", lmax, (x, g, gluing.h),
+        lambda l: (
+            [magnitude_homology_total(x, l)],
+            [interior_part_betti(gluing, l), magnitude_homology_total(g, l)],
+        ),
     )
-    return VerifyReport(not problems, detail, tuple(rows))
 
 
 def verify_mv(gluing, lmax):
@@ -125,19 +129,12 @@ def verify_mv(gluing, lmax):
     refusal = check_gated(gluing)
     if refusal is not None:
         return refusal
-    lmax = _as_fraction(lmax)
-    kspace = restriction(gluing.g, gluing.k_in_g)
-    rows = []
-    problems = []
-    for l in _lengths((gluing.space, gluing.g, gluing.h, kspace), lmax):
-        left = magnitude_homology_total(gluing.space, l).plus(
-            magnitude_homology_total(kspace, l)
-        )
-        right = magnitude_homology_total(gluing.g, l).plus(
-            magnitude_homology_total(gluing.h, l)
-        )
-        _compare(rows, problems, l, left, right, "mv")
-    detail = "; ".join(problems) if problems else (
-        "additivity holds up to q^%s" % (lmax,)
+    x, g, h = gluing.space, gluing.g, gluing.h
+    k = restriction(g, gluing.k_in_g)
+    return _additivity(
+        "mv", "additivity holds", lmax, (x, g, h, k),
+        lambda l: (
+            [magnitude_homology_total(x, l), magnitude_homology_total(k, l)],
+            [magnitude_homology_total(g, l), magnitude_homology_total(h, l)],
+        ),
     )
-    return VerifyReport(not problems, detail, tuple(rows))

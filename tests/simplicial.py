@@ -11,6 +11,23 @@ RP2 = [
 ]
 
 
+def moore_space(m, tag):
+    """Facets of the Moore space M(Z/m, 1), whose reduced homology is Z/m in
+    degree 1: a 3m-gon whose vertices are labelled 0, 1, 2 in turn, so that
+    its boundary wraps the triangle 0-1-2 m times, filled through a ring of
+    3m vertices and a centre.  Every vertex name starts with tag, so spaces
+    with different tags are disjoint."""
+    n = 3 * m
+    p = ["%s%d" % (tag, i % 3) for i in range(n + 1)]
+    a = ["%sa%d" % (tag, i % n) for i in range(n + 1)]
+    c = tag + "c"
+    triangles = []
+    for i in range(n):
+        triangles += [(p[i], p[i + 1], a[i]), (p[i + 1], a[i], a[i + 1])]
+        triangles.append((a[i], a[i + 1], c))
+    return triangles
+
+
 def closed_under_faces(cells):
     """Whether every nonempty face of every cell is a cell."""
     have = set(cells)

@@ -209,8 +209,8 @@ def test_criterion_08_kunneth_rank_level():
             problems.append("%s: %s" % (tag, report.detail))
     square, _ = product(two, two)
     total = magnitude_homology_total(square, Fraction(2))
-    if total.betti_at(2) != 12:
-        problems.append("square l=2 degree 2: %d" % total.betti_at(2))
+    if total.betti_map().get(2) != 12:
+        problems.append("square l=2 degree 2: %s" % total.betti_map().get(2))
     finish(8, problems)
 
 

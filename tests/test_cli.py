@@ -19,6 +19,7 @@ from magtop import cli, docs, morse
 from magtop.docs import DocumentError
 from magtop.homology import ChainComplex, HomologySummary, face_complex
 from magtop.series import EulerReport, HahnPolynomial
+from simplicial import RP2
 
 
 def run(capsys, argv):
@@ -317,6 +318,24 @@ def test_hasse_round_trip(capsys, tmp_path):
         line for line in out.splitlines() if not line.startswith(("#", "*"))
     ]
     assert body == ["0hat 1hat 3 1 -"]
+
+
+def test_torsion_rows_survive_the_process_pool(capsys, tmp_path):
+    facets = tmp_path / "rp2.json"
+    facets.write_text(json.dumps(
+        {"type": "complex", "facets": [[str(v) for v in t] for t in RP2]}
+    ))
+    code, out, _ = run(capsys, ["hasse", str(facets)])
+    assert code == 0
+    graph = tmp_path / "rp2_hasse.json"
+    graph.write_text(out)
+    argv = ["homology", str(graph), "--from", "0hat", "--l", "4"]
+    code, serial, _ = run(capsys, argv + ["--jobs", "1"])
+    assert code == 0
+    assert "0hat 1hat 3 0 2" in serial.splitlines()
+    code, parallel, _ = run(capsys, argv + ["--jobs", "2"])
+    assert code == 0
+    assert parallel == serial
 
 
 def test_verify_chain_iso(capsys):
@@ -765,7 +784,7 @@ VERIFIER_FAILS = {
         [
             "l=0 k=0: 20 vs 18 MISMATCH",
             "FAIL: mv rank at length 0 degree 0: 20 vs 18; "
-            "mv torsion differs at length 0",
+            "mv torsion at length 0 degree 1: (2, 4) vs (3, 3)",
         ],
     ),
     "sycamore-reverse": (

@@ -2,7 +2,9 @@
 
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -14,11 +16,13 @@ from magtop.causal import (
     pair_achievable_lengths,
 )
 from magtop.docs import load_fixture, space_from_doc
+from magtop.frames import hasse_graph
 from magtop.homology import (
     BoundarySquareNonzero,
     ChainComplex,
     HomologySummary,
     VerifyReport,
+    _invariant_factors,
     homology,
     magnitude_chain_complex,
     magnitude_homology_total,
@@ -30,7 +34,7 @@ from magtop.homology import (
 )
 from magtop.metric import from_weighted_graph, random_metric_space
 from lengths import seq_length
-from simplicial import complex_of
+from simplicial import complex_of, moore_space
 
 F = Fraction
 
@@ -42,7 +46,7 @@ def fixture_space(name):
 def test_snf_known_small_matrix():
     res = smith_normal_form([[1, 2], [3, 4]])
     assert res.diag == (1, 2)
-    assert res.rank == 2
+    assert len(res.diag) == 2
     assert smith_normal_form([[0, 0], [0, 0]]).diag == ()
     assert smith_normal_form([[6]]).diag == (6,)
     assert smith_normal_form([]).diag == ()
@@ -122,10 +126,73 @@ def test_homology_summary_algebra():
     assert sum((-1) ** k * r for k, r in a.betti) == 2
     assert a.shifted(2).betti == ((2, 1), (4, 1))
     b = HomologySummary.build({2: 3}, {1: [2]})
-    both = a.plus(b)
-    assert both.betti_at(2) == 4
-    assert both.torsion_at(1) == [2, 2, 4]
+    both = HomologySummary.direct_sum([a, b])
+    assert both.betti == ((0, 1), (2, 4))
+    assert both.torsion == ((1, (2, 2, 4)),)
     assert HomologySummary.build({0: 0}, {1: []}) == HomologySummary()
+
+
+def test_summaries_of_one_group_are_equal():
+    # Z/2 + Z/3 is Z/6, however the summary is made
+    six = HomologySummary.build({}, {1: [6]})
+    assert HomologySummary.build({}, {1: [3, 2]}) == six
+    assert HomologySummary(((0, 0),), ((1, (2,)), (1, (3, 1)))) == six
+    assert HomologySummary.direct_sum(
+        [HomologySummary.build({}, {1: [2]}), HomologySummary.build({}, {1: [3]})]
+    ) == six
+    assert HomologySummary.build({}, {1: [2, 2]}) != HomologySummary.build({}, {1: [4]})
+
+
+def prime_powers(factors):
+    """The multiset of prime powers whose cyclic groups sum to the factors'."""
+    return Counter(
+        p**e for f in factors for p, e in sympy.factorint(f).items()
+    )
+
+
+def test_invariant_factors_are_the_normal_form():
+    rng = random.Random(9)
+    for _ in range(300):
+        factors = [rng.randint(1, 60) for _ in range(rng.randint(0, 8))]
+        inv = _invariant_factors(factors)
+        assert all(f > 1 for f in inv), factors
+        assert all(b % a == 0 for a, b in zip(inv, inv[1:])), factors
+        assert prime_powers(inv) == prime_powers(factors), factors
+        assert _invariant_factors(inv) == inv
+        rng.shuffle(factors)
+        assert _invariant_factors(factors) == inv
+
+
+@lru_cache(maxsize=None)
+def moore_pair(ms):
+    """The 0hat-to-1hat homology at length 4 of the Hasse graph of the
+    disjoint union of the Moore spaces M(Z/m, 1) for m in ms, with its
+    boundary out of degree 4."""
+    facets = [t for i, m in enumerate(ms) for t in moore_space(m, "xyz"[i])]
+    hg = hasse_graph(facets)
+    x = hg.space
+    assert hg.l == 4
+    cc = magnitude_chain_complex(x, x.index(hg.zero), x.index(hg.one), hg.l)
+    return homology(cc), cc.matrix(4)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_moore_space_torsion_matches_sympy(m):
+    summary, d4 = moore_pair((m,))
+    assert summary == HomologySummary.build({}, {3: [m]})
+    ref = sympy_snf(sympy.Matrix(d4), domain=sympy.ZZ)
+    assert [abs(ref[i, i]) for i in range(min(ref.shape)) if abs(ref[i, i]) > 1] == [m]
+
+
+@pytest.mark.parametrize(
+    "ms, torsion", [((2, 3), (6,)), ((2, 2), (2, 2)), ((2, 4), (2, 4))]
+)
+def test_moore_unions_sum_the_separate_pairs(ms, torsion):
+    # the union's reduced homology adds the Z of its two components
+    union, _ = moore_pair(ms)
+    assert union == HomologySummary(((2, 1),), ((3, torsion),))
+    parts = [moore_pair((m,))[0] for m in ms]
+    assert HomologySummary.direct_sum(parts + [HomologySummary(((2, 1),))]) == union
 
 
 def test_circle_complex_has_expected_homology():
