@@ -329,13 +329,25 @@ def verify_suspension_shift(space, a, b, l):
     return VerifyReport(True, "shift matches: %s" % (lhs,))
 
 
-def magnitude_homology_total(space, l):
-    """Direct sum of MH over all ordered endpoint pairs at length l."""
-    return HomologySummary.direct_sum(
-        homology(magnitude_chain_complex(space, a, b, l))
+def homology_table(space, lmax):
+    """MH of every ordered endpoint pair at each length up to lmax that the
+    pair achieves, as {(a, b): {l: HomologySummary}}; a length the pair
+    cannot reach has no sequence, so zero homology, and no entry."""
+    lmax = _as_fraction(lmax)
+    return {
+        (a, b): {
+            l: homology(magnitude_chain_complex(space, a, b, l))
+            for l in pair_achievable_lengths(space, a, b, lmax)
+        }
         for a in range(space.n)
         for b in range(space.n)
-    )
+    }
+
+
+def magnitude_homology_total(table, l):
+    """Direct sum of a homology table's entries at length l: MH over all
+    ordered endpoint pairs."""
+    return HomologySummary.direct_sum(row[l] for row in table.values() if l in row)
 
 
 def verify_kunneth(x, y, lmax):
@@ -346,21 +358,9 @@ def verify_kunneth(x, y, lmax):
     over all splits of the length; when the factors are torsion-free the
     product must be torsion-free as well.
     """
-    lmax = _as_fraction(lmax)
     prod, pidx = product(x, y)
-
-    def factor_table(space):
-        return {
-            (a, b): {
-                l: homology(magnitude_chain_complex(space, a, b, l))
-                for l in pair_achievable_lengths(space, a, b, lmax)
-            }
-            for a in range(space.n)
-            for b in range(space.n)
-        }
-
-    tab_x = factor_table(x)
-    tab_y = factor_table(y)
+    tab_x, tab_y, tab_p = (homology_table(s, lmax) for s in (x, y, prod))
+    factor = {pidx(i, j): (i, j) for i in range(x.n) for j in range(y.n)}
     factors_torsion_free = not any(
         h.torsion
         for tab in (tab_x, tab_y)
@@ -368,29 +368,22 @@ def verify_kunneth(x, y, lmax):
         for h in row.values()
     )
     mismatches = []
-    for ax in range(x.n):
-        for ay in range(y.n):
-            for bx in range(x.n):
-                for by in range(y.n):
-                    a = pidx(ax, ay)
-                    b = pidx(bx, by)
-                    row_x = tab_x[ax, bx]
-                    row_y = tab_y[ay, by]
-                    for l in pair_achievable_lengths(prod, a, b, lmax):
-                        got = homology(magnitude_chain_complex(prod, a, b, l))
-                        want = {}
-                        for l1, hx in row_x.items():
-                            hy = row_y.get(l - l1)
-                            if hy is None:
-                                continue
-                            for i, ri in hx.betti:
-                                for j, rj in hy.betti:
-                                    want[i + j] = want.get(i + j, 0) + ri * rj
-                        want = {k: r for k, r in want.items() if r}
-                        if got.betti_map() != want:
-                            mismatches.append((l, a, b, got.betti_map(), want))
-                        if factors_torsion_free and got.torsion:
-                            mismatches.append((l, a, b, "unexpected torsion", got.torsion))
+    for (a, b), row in tab_p.items():
+        (ax, ay), (bx, by) = factor[a], factor[b]
+        row_x, row_y = tab_x[ax, bx], tab_y[ay, by]
+        for l, got in row.items():
+            want = {}
+            for l1, hx in row_x.items():
+                hy = row_y.get(l - l1)
+                if hy is None:
+                    continue
+                for i, ri in hx.betti:
+                    for j, rj in hy.betti:
+                        want[i + j] = want.get(i + j, 0) + ri * rj
+            if got.betti_map() != want:
+                mismatches.append((l, a, b, got.betti_map(), want))
+            if factors_torsion_free and got.torsion:
+                mismatches.append((l, a, b, "unexpected torsion", got.torsion))
     if mismatches:
         return VerifyReport(False, "first mismatch: %s" % (mismatches[0],))
     return VerifyReport(True, "product ranks match on %d x %d points" % (x.n, y.n))

@@ -16,6 +16,7 @@ from .homology import (
     VerifyReport,
     face_complex,
     homology,
+    homology_table,
     magnitude_homology_total,
 )
 from .metric import InternalFault, _as_fraction, is_smooth, restriction
@@ -115,11 +116,12 @@ def verify_union(gluing, lmax):
     if refusal is not None:
         return refusal
     x, g = gluing.space, gluing.g
+    tx, tg = (homology_table(s, lmax) for s in (x, g))
     return _additivity(
         "union", "interior part plus base side matches", lmax, (x, g, gluing.h),
         lambda l: (
-            [magnitude_homology_total(x, l)],
-            [interior_part_betti(gluing, l), magnitude_homology_total(g, l)],
+            [magnitude_homology_total(tx, l)],
+            [interior_part_betti(gluing, l), magnitude_homology_total(tg, l)],
         ),
     )
 
@@ -131,10 +133,11 @@ def verify_mv(gluing, lmax):
         return refusal
     x, g, h = gluing.space, gluing.g, gluing.h
     k = restriction(g, gluing.k_in_g)
+    tx, tk, tg, th = (homology_table(s, lmax) for s in (x, k, g, h))
     return _additivity(
         "mv", "additivity holds", lmax, (x, g, h, k),
         lambda l: (
-            [magnitude_homology_total(x, l), magnitude_homology_total(k, l)],
-            [magnitude_homology_total(g, l), magnitude_homology_total(h, l)],
+            [magnitude_homology_total(tx, l), magnitude_homology_total(tk, l)],
+            [magnitude_homology_total(tg, l), magnitude_homology_total(th, l)],
         ),
     )

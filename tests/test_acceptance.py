@@ -22,6 +22,7 @@ from magtop.frames import (
 )
 from magtop.homology import (
     homology,
+    homology_table,
     magnitude_chain_complex,
     magnitude_homology_total,
     verify_chain_iso,
@@ -99,7 +100,7 @@ def test_criterion_02_complete_graph_totals():
     problems = []
     x = fixture_space("k3")
     for l in range(4):
-        total = magnitude_homology_total(x, Fraction(l))
+        total = magnitude_homology_total(homology_table(x, Fraction(l)), Fraction(l))
         expected = ((l, 3 * 2**l),)
         if total.betti != expected:
             problems.append("l=%d: total betti %r" % (l, total.betti))
@@ -112,12 +113,12 @@ def test_criterion_03_tree_totals_two_ways():
     problems = []
     for name, edges in (("p2", 2), ("s3", 3)):
         x = fixture_space(name)
-        zero = magnitude_homology_total(x, Fraction(0))
+        zero = magnitude_homology_total(homology_table(x, Fraction(0)), Fraction(0))
         if zero.betti != ((0, x.n),):
             problems.append("%s l=0: %r" % (name, zero.betti))
         for l in (1, 2, 3):
             thin = sum(1 for f in thin_frames(x, l) if len(f) - 1 == l)
-            total = magnitude_homology_total(x, Fraction(l))
+            total = magnitude_homology_total(homology_table(x, Fraction(l)), Fraction(l))
             if thin != 2 * edges:
                 problems.append("%s l=%d: thin count %d" % (name, l, thin))
             if total.betti != ((l, 2 * edges),):
@@ -208,7 +209,7 @@ def test_criterion_08_kunneth_rank_level():
         if not report.ok:
             problems.append("%s: %s" % (tag, report.detail))
     square, _ = product(two, two)
-    total = magnitude_homology_total(square, Fraction(2))
+    total = magnitude_homology_total(homology_table(square, Fraction(2)), Fraction(2))
     if total.betti_map().get(2) != 12:
         problems.append("square l=2 degree 2: %s" % total.betti_map().get(2))
     finish(8, problems)

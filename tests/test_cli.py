@@ -10,6 +10,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
@@ -319,6 +320,21 @@ def test_hasse_round_trip(capsys, tmp_path):
     ]
     assert body == ["0hat 1hat 3 1 -"]
 
+
+
+def test_moore_fixture_carries_z3_torsion(capsys, tmp_path):
+    # M(Z/3, 1): 27 triangles on 13 vertices, 81 faces with 0hat and 1hat
+    code, out, _ = run(capsys, ["hasse", "fixture:moore_z3"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["type"] == "graph"
+    assert len(doc["vertices"]) == 81
+    graph = tmp_path / "moore_z3_hasse.json"
+    graph.write_text(out)
+    argv = ["homology", str(graph), "--l", "4", "--from", "0hat", "--to", "1hat"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "0hat 1hat 3 0 3" in out.splitlines()
 
 def test_torsion_rows_survive_the_process_pool(capsys, tmp_path):
     facets = tmp_path / "rp2.json"
@@ -778,8 +794,10 @@ VERIFIER_FAILS = {
         ["mv", "fixture:mv_triangles", "--lmax", "0"],
         "magtop.mv",
         "magnitude_homology_total",
-        lambda real: lambda space, l: HomologySummary(
-            ((0, space.n**2),), ((1, (space.n,)),)
+        # n^2 in degree 0 and Z/n in degree 1 for an n-point space, whose
+        # table has n^2 pairs
+        lambda real: lambda table, l: HomologySummary(
+            ((0, len(table)),), ((1, (isqrt(len(table)),)),)
         ),
         [
             "l=0 k=0: 20 vs 18 MISMATCH",
@@ -1219,6 +1237,33 @@ def test_import_leaves_the_process_pool_unloaded():
     )
     assert proc.stdout == "False\n", proc.stderr
 
+
+
+def test_commands_import_only_the_standard_library():
+    # -S keeps site-packages and its .pth hooks out, so every module left
+    # in sys.modules was imported by the commands themselves
+    src = os.path.dirname(os.path.dirname(magtop.__file__))
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from magtop import cli\n"
+        "for argv in (\n"
+        "    ['verify', 'sycamore', 'fixture:sycamore_twist', '--lmax', '2'],\n"
+        "    ['homology', 'fixture:c4', '--l', '3', '--jobs', '2'],\n"
+        "    ['magnitude', 'fixture:k3', '--lmax', '2'],\n"
+        "):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "allowed = sys.stdlib_module_names | {'magtop', '__main__', '__mp_main__'}\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} - allowed))\n" % src
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 def quick_start_commands():
     """(argv, expected lines) for each `$ magtop` command in README's

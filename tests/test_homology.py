@@ -11,11 +11,12 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from magtop.causal import (
+    achievable_lengths,
     inner_pair,
     lightlike_sequences,
     pair_achievable_lengths,
 )
-from magtop.docs import load_fixture, space_from_doc
+from magtop.docs import gluing_from_doc, load_fixture, space_from_doc
 from magtop.frames import hasse_graph
 from magtop.homology import (
     BoundarySquareNonzero,
@@ -24,6 +25,7 @@ from magtop.homology import (
     VerifyReport,
     _invariant_factors,
     homology,
+    homology_table,
     magnitude_chain_complex,
     magnitude_homology_total,
     relative_chain_complex,
@@ -34,7 +36,7 @@ from magtop.homology import (
 )
 from magtop.metric import from_weighted_graph, random_metric_space
 from lengths import seq_length
-from simplicial import complex_of, moore_space
+from simplicial import RP2, complex_of, moore_space
 
 F = Fraction
 
@@ -303,26 +305,70 @@ def test_c4_antipodal_sphere_class():
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
 def test_k3_total_rank_wedge_count(l):
     k3 = fixture_space("k3")
-    total = magnitude_homology_total(k3, F(l))
+    total = magnitude_homology_total(homology_table(k3, F(l)), F(l))
     assert total.betti == ((l, 3 * 2 ** l),)
     assert total.torsion == ()
 
 
 def test_k4_total_rank_wedge_count():
     k4 = fixture_space("k4")
-    total = magnitude_homology_total(k4, F(2))
+    total = magnitude_homology_total(homology_table(k4, F(2)), F(2))
     assert total.betti == ((2, 4 * 3 ** 2),)
 
 
 @pytest.mark.parametrize("name,edges", [("p2", 2), ("p3", 3), ("s3", 3)])
 def test_tree_totals_are_diagonal(name, edges):
     tree = fixture_space(name)
-    assert magnitude_homology_total(tree, F(0)).betti == ((0, tree.n),)
+    zero = magnitude_homology_total(homology_table(tree, F(0)), F(0))
+    assert zero.betti == ((0, tree.n),)
     for l in (1, 2, 3):
-        total = magnitude_homology_total(tree, F(l))
+        total = magnitude_homology_total(homology_table(tree, F(l)), F(l))
         assert total.betti == ((l, 2 * edges),)
         assert total.torsion == ()
 
+
+
+def all_pairs_total(space, l):
+    """MH at length l summed over all n^2 ordered endpoint pairs, each pair's
+    complex built and reduced whether or not the pair reaches l."""
+    return HomologySummary.direct_sum(
+        homology(magnitude_chain_complex(space, a, b, l))
+        for a in range(space.n)
+        for b in range(space.n)
+    )
+
+
+def mv_triangles_part(part):
+    return lambda: getattr(gluing_from_doc(load_fixture("mv_triangles")), part)
+
+
+TABLE_CASES = {
+    "k3": (lambda: fixture_space("k3"), 3),
+    "c4": (lambda: fixture_space("c4"), 4),
+    "p2": (lambda: fixture_space("p2"), 3),
+    "mv_triangles-g": (mv_triangles_part("g"), 6),
+    "mv_triangles-h": (mv_triangles_part("h"), 6),
+    "mv_triangles-glued": (mv_triangles_part("space"), 6),
+    "random-den1": (lambda: random_metric_space(5, 0, 1), 3),
+    "random-den6": (lambda: random_metric_space(5, 0, 6), 3),
+    # Z/2 in degree 3 at length 4, so torsion is compared too
+    "rp2-hasse": (lambda: hasse_graph(RP2).space, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_homology_table_matches_all_pairs_oracle(case):
+    make, lmax = TABLE_CASES[case]
+    space = make()
+    table = homology_table(space, F(lmax))
+    lengths = achievable_lengths(space, F(lmax))
+    assert sorted(set().union(*table.values())) == lengths
+    torsion = False
+    for l in lengths:
+        total = magnitude_homology_total(table, l)
+        assert total == all_pairs_total(space, l), (case, l)
+        torsion = torsion or bool(total.torsion)
+    assert torsion == (case == "rp2-hasse")
 
 def test_chain_iso_over_small_corpus():
     for name in ("two_point", "k3", "c4", "p2"):
@@ -414,7 +460,7 @@ def test_diagonality_of_complete_graphs_and_trees():
     for name in ("k3", "k4", "p3", "s3"):
         sp = fixture_space(name)
         for l in (0, 1, 2):
-            total = magnitude_homology_total(sp, F(l))
+            total = magnitude_homology_total(homology_table(sp, F(l)), F(l))
             assert all(k == l for k, _ in total.betti), (name, l)
 
 
@@ -423,7 +469,8 @@ def test_fractional_lengths_carry_homology():
     sp = from_weighted_graph(
         ("a", "b", "c"), [("a", "b", F(1, 2)), ("b", "c", F(3, 4))]
     )
-    assert magnitude_homology_total(sp, F(1)).betti == ((2, 2),)
-    assert magnitude_homology_total(sp, F(3, 2)).betti == ((2, 2), (3, 2))
+    table = homology_table(sp, F(3, 2))
+    assert magnitude_homology_total(table, F(1)).betti == ((2, 2),)
+    assert magnitude_homology_total(table, F(3, 2)).betti == ((2, 2), (3, 2))
     # a length no bounce can realize carries nothing
-    assert magnitude_homology_total(sp, F(5, 4)) == HomologySummary()
+    assert magnitude_homology_total(table, F(5, 4)) == HomologySummary()

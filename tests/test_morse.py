@@ -12,7 +12,7 @@ import pytest
 import magtop
 from magtop import morse
 from magtop.docs import gluing_from_doc, load_fixture, twist_from_doc
-from magtop.homology import magnitude_homology_total
+from magtop.homology import homology_table, magnitude_homology_total
 from magtop.metric import MetricSpace, from_weighted_graph, glue, restriction
 from magtop.morse import (
     CriticalCellsMismatch,
@@ -509,7 +509,7 @@ def test_critical_euler_equals_homology_euler():
     for l in (1, 2, 3):
         crit = critical_cells(gl, l)
         alt_crit = sum((-1) ** (len(s) - 1) for s in crit)
-        total = magnitude_homology_total(gl.space, Fraction(l))
+        total = magnitude_homology_total(homology_table(gl.space, Fraction(l)), Fraction(l))
         alt_h = sum((-1) ** k * r for k, r in total.betti)
         assert alt_crit == alt_h
 

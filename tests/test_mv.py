@@ -1,5 +1,6 @@
 """Tests for gated gluings and homology additivity."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -104,6 +105,28 @@ def test_mv_additivity_on_triangles():
     assert rep.rows and all(row[2] == row[3] for row in rep.rows)
     assert "additivity holds" in rep.detail
 
+
+
+@pytest.mark.parametrize("verify", [verify_mv, verify_union])
+def test_additivity_builds_no_complex_of_an_unreachable_pair(monkeypatch, verify):
+    # each space's table builds a pair's complex only at the lengths that
+    # pair achieves, so no enumeration the homology layer asks for is empty
+    # ("magtop.homology" as an attribute is the re-exported function)
+    module = importlib.import_module("magtop.homology")
+    real = module.lightlike_sequences
+    calls, empty = [], []
+
+    def counted(space, a, b, l):
+        seqs = real(space, a, b, l)
+        calls.append((a, b, l))
+        if not seqs:
+            empty.append((a, b, l))
+        return seqs
+
+    monkeypatch.setattr(module, "lightlike_sequences", counted)
+    assert verify(triangles(), 6)
+    assert calls
+    assert empty == []
 
 def test_one_point_tree_gluing():
     gl = tree_gluing()
