@@ -3,13 +3,25 @@
 A boundary out of degree k is a list of sparse columns, one per degree-k
 generator, each a {row: value} map over the degree-(k-1) basis with no zero
 stored.  Only ChainComplex.matrix(k) spells a boundary out as dense integer
-rows, the input of the Smith normal form.  All elimination is fraction-free
+rows, the input of the Smith normal form; the tracer of the benchmark reads
+its cells and nonzeros from those rows, so they stay its input until the
+form takes the sparse columns themselves.  All elimination is fraction-free
 over Python ints, so ranks, Betti numbers, and torsion are exact.
+
+face_complex is the one builder of a boundary.  It slices and looks up
+only the faces that its face rule names: the entries of a cell whose
+deletion gives a generator.  A sequence complex of one length names its
+smooth interior points, since dropping any other point shortens the
+sequence.  A relative order complex has no length to keep, and a face of
+one of its chains may lie in the subcomplex, so it tries every entry and
+keeps the faces it finds; verify_chain_iso then compares the two routes
+column for column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from .causal import (
@@ -63,28 +75,38 @@ def _pivot(rows):
 def smith_normal_form(matrix):
     """Invariant factors of an integer matrix, by sparse elimination.
 
-    Rows are kept as {column: value} maps.  The pivot is a nonzero of least
-    absolute value; the other rows of its column are reduced against the
-    pivot row, and once the pivot stands alone in its column its own row is
-    reduced modulo the pivot (a column operation that changes no other
-    row).  A nonzero remainder is smaller than the pivot and so becomes the
-    next pivot; a pivot left alone in its row and column is recorded.  The
-    recorded pivots, up to sign, are brought into invariant-factor form,
-    and the units that takes away lead the diagonal.
+    Rows are kept as {column: value} maps, read off the dense rows by their
+    nonzeros only.  The pivot is a nonzero of least absolute value; the
+    other rows of its column are reduced against the pivot row.  A unit
+    pivot then stands alone in its column, and every remainder modulo a
+    unit is zero, so its row and column go at once.  Otherwise, once the
+    pivot stands alone in its column its own row is reduced modulo the
+    pivot (a column operation that changes no other row).  A nonzero
+    remainder is smaller than the pivot and so becomes the next pivot; a
+    pivot left alone in its row and column is recorded.  The recorded
+    pivots, up to sign, are brought into invariant-factor form, and the
+    units that takes away lead the diagonal.
     """
     rows = {}
     cols = {}
+    # compress picks the nonzeros' column numbers in C, out of one shared
+    # list, so no int is made for a zero cell
+    numbers = list(range(max(map(len, matrix), default=0)))
     for i, row in enumerate(matrix):
-        entries = {j: v for j, v in enumerate(row) if v}
-        if entries:
-            rows[i] = entries
-            for j in entries:
+        nonzero = list(compress(numbers, row))
+        if nonzero:
+            rows[i] = {j: row[j] for j in nonzero}
+            for j in nonzero:
                 cols.setdefault(j, set()).add(i)
     factors = []
     while rows:
         i, j, p = _pivot(rows)
         prow = rows[i]
-        for k in cols[j] - {i}:
+        others = cols[j]
+        cols[j] = {i}  # and then any remainder the elimination leaves
+        for k in others:
+            if k == i:
+                continue
             row = rows[k]
             q = row[j] // p
             for c, v in prow.items():
@@ -97,6 +119,12 @@ def smith_normal_form(matrix):
                     cols[c].discard(k)
             if not row:
                 del rows[k]
+        if p == 1 or p == -1:
+            for c in prow:
+                cols[c].discard(i)
+            del rows[i]
+            factors.append(1)
+            continue
         if len(cols[j]) > 1:
             continue
         for c in [c for c in prow if c != j]:
@@ -140,7 +168,8 @@ class ChainComplex:
 
     def matrix(self, k):
         """Dense boundary matrix out of degree k; rows indexed by degree k-1."""
-        mat = [[0] * self.rank(k) for _ in range(self.rank(k - 1))]
+        width = self.rank(k)
+        mat = [[0] * width for _ in range(self.rank(k - 1))]
         for c, col in enumerate(self.boundary.get(k, ())):
             for r, v in col.items():
                 mat[r][c] = v
@@ -224,32 +253,68 @@ def homology(cc):
     return HomologySummary.build(betti, {k - 1: diag for k, diag in diags.items()})
 
 
-def face_complex(cells):
+def face_complex(cells, faces=None):
     """Chain complex generated by cells, a cell of n entries in degree n - 1.
 
     The boundary deletes entry i with sign (-1)^i and keeps the face exactly
-    when it is itself a generator; every other face counts as zero.
+    when it is itself a generator; every other face counts as zero.  faces,
+    the face rule, names the entries of a cell whose deletion gives a
+    generator, and each of those faces once; the deletion of any other
+    entry is never sliced or looked up.  Without a rule every entry is
+    tried.
     """
     basis = {}
     for s in cells:
         basis.setdefault(len(s) - 1, []).append(s)
     index = {}
-    for gens in basis.values():
+    for k, gens in basis.items():
         gens.sort()
-        index.update((s, i) for i, s in enumerate(gens))
+        index[k] = {s: i for i, s in enumerate(gens)}
     boundary = {}
     for k, gens in basis.items():
+        below = index.get(k - 1, {})
         cols = boundary[k] = []
         for s in gens:
             col = {}
-            for i in range(len(s)):
-                r = index.get(s[:i] + s[i + 1:])
-                if r is not None:
-                    v = col.pop(r, 0) + (-1) ** i
-                    if v:
-                        col[r] = v
+            if faces is None:
+                for i in range(len(s)):
+                    r = below.get(s[:i] + s[i + 1:])
+                    if r is not None:
+                        v = col.pop(r, 0) + (-1) ** i
+                        if v:
+                            col[r] = v
+            else:
+                for i in faces(s):
+                    col[below[s[:i] + s[i + 1:]]] = -1 if i & 1 else 1
             cols.append(col)
     return ChainComplex(basis, boundary)
+
+
+def _smooth_interior(space):
+    """The face rule of sequences of one length in space: the interior
+    points y of x, y, z with d(x, y) + d(y, z) = d(x, z) on the scaled
+    integer distances, found by one running scan over consecutive triples.
+    Dropping any other point, an endpoint included, shortens the sequence
+    and so gives no generator; dropping a smooth one keeps the length, and
+    the face is a generator (its points stay distinct, as d(x, z) > 0)."""
+    d = space._scaled[1]
+
+    def smooth(s):
+        out = []
+        if len(s) > 2:
+            # the triple (x, y, z) ends at s[i]: row_x is d[x], xy is d[x][y]
+            row_x, y = d[s[0]], s[1]
+            xy = row_x[y]
+            for i in range(2, len(s)):
+                z = s[i]
+                row_y = d[y]
+                yz = row_y[z]
+                if xy + yz == row_x[z]:
+                    out.append(i - 1)
+                row_x, y, xy = row_y, z, yz
+        return out
+
+    return smooth
 
 
 def magnitude_chain_complex(space, a, b, l):
@@ -257,10 +322,11 @@ def magnitude_chain_complex(space, a, b, l):
 
     Degree-k generators are the (k+1)-point sequences; the boundary drops
     one point at a time with alternating signs.  A drop that shortens the
-    sequence, as every endpoint drop does, leaves no generator and so
-    counts as zero.
+    sequence leaves no generator and so counts as zero: only the smooth
+    interior points are dropped (_smooth_interior), and every endpoint
+    drop or other interior drop is skipped unsliced.
     """
-    return face_complex(lightlike_sequences(space, a, b, l))
+    return face_complex(lightlike_sequences(space, a, b, l), _smooth_interior(space))
 
 
 def relative_chain_complex(pair):

@@ -14,6 +14,7 @@ from .causal import achievable_lengths, lightlike_sequences
 from .homology import (
     HomologySummary,
     VerifyReport,
+    _smooth_interior,
     face_complex,
     homology,
     homology_table,
@@ -57,13 +58,15 @@ def interior_part_betti(gspec, l):
     inside the h metric space: for each ordered endpoint pair, the
     generators are full-length sequences meeting h∖K, and boundary faces
     either shorten or keep touching.  A face stays full-length when the
-    dropped point is smooth; if that point were the sequence's only one in
-    h∖K, the face would leave the interior, which the gate inequality rules
-    out, so it raises FaceEscapedInterior instead of counting as zero.
+    dropped point is smooth, so the complex takes the smooth-interior face
+    rule; if that point were the sequence's only one in h∖K, the face would
+    leave the interior, which the gate inequality rules out, so it raises
+    FaceEscapedInterior instead of counting as zero.
     """
     h = gspec.h
     l = _as_fraction(l)
     inside_k = frozenset(gspec.k_in_h)
+    smooth = _smooth_interior(h)
     parts = []
     for a in range(h.n):
         for b in range(h.n):
@@ -77,7 +80,7 @@ def interior_part_betti(gspec, l):
                 if outside:
                     cells.append(seq)
             if cells:
-                parts.append(homology(face_complex(cells)))
+                parts.append(homology(face_complex(cells, smooth)))
     return HomologySummary.direct_sum(parts)
 
 

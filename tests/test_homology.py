@@ -16,7 +16,7 @@ from magtop.causal import (
     lightlike_sequences,
     pair_achievable_lengths,
 )
-from magtop.docs import gluing_from_doc, load_fixture, space_from_doc
+from magtop.docs import gluing_from_doc, load_fixture, space_from_doc, twist_from_doc
 from magtop.frames import hasse_graph
 from magtop.homology import (
     BoundarySquareNonzero,
@@ -24,6 +24,8 @@ from magtop.homology import (
     HomologySummary,
     VerifyReport,
     _invariant_factors,
+    _smooth_interior,
+    face_complex,
     homology,
     homology_table,
     magnitude_chain_complex,
@@ -34,7 +36,7 @@ from magtop.homology import (
     verify_kunneth,
     verify_suspension_shift,
 )
-from magtop.metric import from_weighted_graph, random_metric_space
+from magtop.metric import from_weighted_graph, is_smooth, random_metric_space
 from lengths import seq_length
 from simplicial import RP2, complex_of, moore_space
 
@@ -43,6 +45,10 @@ F = Fraction
 
 def fixture_space(name):
     return space_from_doc(load_fixture(name))
+
+
+def mv_triangles_part(part):
+    return lambda: getattr(gluing_from_doc(load_fixture("mv_triangles")), part)
 
 
 def test_snf_known_small_matrix():
@@ -71,6 +77,14 @@ def scrambled(mat, rng, moves):
     return mat
 
 
+def sympy_diag(mat):
+    """The nonzero invariant factors of mat by sympy's Smith normal form."""
+    if not mat or not mat[0]:
+        return []
+    ref = sympy_snf(sympy.Matrix(mat), domain=sympy.ZZ)
+    return [abs(ref[i, i]) for i in range(min(ref.shape)) if ref[i, i] != 0]
+
+
 def test_snf_matches_sympy_on_random_matrices():
     rng = random.Random(5)
     mats = []
@@ -93,15 +107,7 @@ def test_snf_matches_sympy_on_random_matrices():
         mats.append(scrambled(square, rng, 12))
         mats.append(scrambled([row + [0] for row in square], rng, 20))
     for mat in mats:
-        rows, cols = len(mat), len(mat[0])
-        ours = smith_normal_form(mat)
-        ref = sympy_snf(sympy.Matrix(mat), domain=sympy.ZZ)
-        ref_diag = [
-            abs(ref[i, i])
-            for i in range(min(rows, cols))
-            if ref[i, i] != 0
-        ]
-        assert list(ours.diag) == ref_diag, mat
+        assert list(smith_normal_form(mat).diag) == sympy_diag(mat), mat
     hidden = scrambled([[2, 0, 0], [0, 4, 0], [0, 0, 6]], rng, 30)
     assert smith_normal_form(hidden).diag == (2, 2, 12)
 
@@ -195,6 +201,44 @@ def test_moore_unions_sum_the_separate_pairs(ms, torsion):
     assert union == HomologySummary(((2, 1),), ((3, torsion),))
     parts = [moore_pair((m,))[0] for m in ms]
     assert HomologySummary.direct_sum(parts + [HomologySummary(((2, 1),))]) == union
+
+
+def test_snf_repivots_on_a_remainder_left_in_the_pivot_column():
+    # no unit anywhere, and the least entry 4 leaves 6 - 4 = 2 below itself,
+    # so the elimination takes a new pivot before any is recorded
+    mat = [[4, 6], [6, 4]]
+    assert smith_normal_form(mat).diag == (2, 10)
+    assert sympy_diag(mat) == [2, 10]
+    assert smith_normal_form([[6, 4], [4, 6], [10, 2]]).diag == (2, 2)
+    assert sympy_diag([[6, 4], [4, 6], [10, 2]]) == [2, 2]
+
+
+TORSION_COMPLEXES = {
+    "rp2": (lambda: RP2, (2,)),
+    "moore_z3": (lambda: load_fixture("moore_z3")["facets"], (3,)),
+    "moore_z4": (lambda: moore_space(4, "x"), (4,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_COMPLEXES))
+def test_snf_matches_sympy_on_torsion_boundaries(name):
+    # every boundary matrix out of 0hat at the Hasse graph's length, to each
+    # target; the one to 1hat carries the complex's torsion in degree 3
+    facets, torsion = TORSION_COMPLEXES[name]
+    hg = hasse_graph(facets())
+    x = hg.space
+    a = x.index(hg.zero)
+    seen = []
+    for b in range(x.n):
+        if hg.l not in pair_achievable_lengths(x, a, b, hg.l):
+            continue
+        cc = magnitude_chain_complex(x, a, b, hg.l)
+        for k in cc.degrees():
+            mat = cc.matrix(k)
+            diag = smith_normal_form(mat).diag
+            assert list(diag) == sympy_diag(mat), (name, x.labels[b], k)
+            seen += [f for f in diag if f > 1]
+    assert tuple(seen) == torsion
 
 
 def test_circle_complex_has_expected_homology():
@@ -293,6 +337,66 @@ def test_boundaries_match_length_rule_on_random_spaces():
     assert nonzero  # the corpus exercises faces that keep the length
 
 
+def twist_side(side):
+    return lambda: getattr(twist_from_doc(load_fixture("sycamore_twist")), side).space
+
+
+FACE_RULE_CASES = {
+    **{
+        "random-den%d-seed%d" % (den_max, seed): (
+            lambda den_max=den_max, seed=seed: random_metric_space(5, seed, den_max),
+            3,
+        )
+        for den_max in (1, 6)
+        for seed in range(5)
+    },
+    "c4": (lambda: fixture_space("c4"), 6),
+    "k4": (lambda: fixture_space("k4"), 5),
+    "sycamore_twist-x": (twist_side("x"), 4),
+    "sycamore_twist-y": (twist_side("y"), 4),
+    "mv_triangles-h": (mv_triangles_part("h"), 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACE_RULE_CASES))
+def test_smooth_face_rule_matches_every_entry_rule(case):
+    # the smooth-interior rule skips only deletions that give no generator:
+    # the rule of every entry, which looks each face up, is its oracle
+    make, lmax = FACE_RULE_CASES[case]
+    space = make()
+    rule = _smooth_interior(space)
+    sizes = Counter()
+    for a in range(space.n):
+        for b in range(space.n):
+            for l in pair_achievable_lengths(space, a, b, F(lmax)):
+                cells = lightlike_sequences(space, a, b, l)
+                for s in cells:
+                    assert rule(s) == [i for i in range(len(s)) if is_smooth(space, s, i)]
+                    sizes[min(len(s), 3)] += 1
+                smooth = face_complex(cells, rule)
+                full = face_complex(cells)
+                assert smooth.basis == full.basis, (case, a, b, l)
+                assert smooth.boundary == full.boundary, (case, a, b, l)
+                assert magnitude_chain_complex(space, a, b, l).boundary == full.boundary
+    # l = 0 gives the one-point sequences, l = d(a, b) the two-point ones
+    assert sizes[1] == space.n
+    assert sizes[2] == sum(
+        1 for row in space.dist for d in row if 0 < d <= lmax
+    )
+    assert sizes[3]
+
+
+def test_face_rule_skips_deletions_outside_it():
+    # a deletion outside the rule is never looked up, even when its face is
+    # a cell; without a rule every entry is tried, and a face that is not a
+    # cell counts as zero
+    cells = [("x",), ("y",), ("x", "y")]
+    assert face_complex(cells).boundary == {0: [{}, {}], 1: [{0: -1, 1: 1}]}
+    first = face_complex(cells, lambda s: [0] if len(s) == 2 else [])
+    assert first.boundary == {0: [{}, {}], 1: [{1: 1}]}
+    assert face_complex(cells, lambda s: []).boundary[1] == [{}]
+
+
 def test_c4_antipodal_sphere_class():
     c4 = fixture_space("c4")
     a, b = c4.index("a"), c4.index("b")
@@ -336,10 +440,6 @@ def all_pairs_total(space, l):
         for a in range(space.n)
         for b in range(space.n)
     )
-
-
-def mv_triangles_part(part):
-    return lambda: getattr(gluing_from_doc(load_fixture("mv_triangles")), part)
 
 
 TABLE_CASES = {
