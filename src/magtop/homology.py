@@ -31,7 +31,7 @@ from .causal import (
     order_complex_pair,
     pair_achievable_lengths,
 )
-from .metric import InternalFault, _as_fraction, product
+from .metric import InternalFault, _as_fraction, product, smooth_points
 
 
 class BoundarySquareNonzero(InternalFault):
@@ -77,11 +77,10 @@ def smith_normal_form(matrix):
 
     Rows are kept as {column: value} maps, read off the dense rows by their
     nonzeros only.  The pivot is a nonzero of least absolute value; the
-    other rows of its column are reduced against the pivot row.  A unit
-    pivot then stands alone in its column, and every remainder modulo a
-    unit is zero, so its row and column go at once.  Otherwise, once the
+    other rows of its column are reduced against the pivot row.  Once the
     pivot stands alone in its column its own row is reduced modulo the
-    pivot (a column operation that changes no other row).  A nonzero
+    pivot (a column operation that changes no other row); modulo a unit
+    pivot every remainder is zero, so its row and column go.  A nonzero
     remainder is smaller than the pivot and so becomes the next pivot; a
     pivot left alone in its row and column is recorded.  The recorded
     pivots, up to sign, are brought into invariant-factor form, and the
@@ -119,12 +118,6 @@ def smith_normal_form(matrix):
                     cols[c].discard(k)
             if not row:
                 del rows[k]
-        if p == 1 or p == -1:
-            for c in prow:
-                cols[c].discard(i)
-            del rows[i]
-            factors.append(1)
-            continue
         if len(cols[j]) > 1:
             continue
         for c in [c for c in prow if c != j]:
@@ -290,43 +283,20 @@ def face_complex(cells, faces=None):
     return ChainComplex(basis, boundary)
 
 
-def _smooth_interior(space):
-    """The face rule of sequences of one length in space: the interior
-    points y of x, y, z with d(x, y) + d(y, z) = d(x, z) on the scaled
-    integer distances, found by one running scan over consecutive triples.
-    Dropping any other point, an endpoint included, shortens the sequence
-    and so gives no generator; dropping a smooth one keeps the length, and
-    the face is a generator (its points stay distinct, as d(x, z) > 0)."""
-    d = space._scaled[1]
-
-    def smooth(s):
-        out = []
-        if len(s) > 2:
-            # the triple (x, y, z) ends at s[i]: row_x is d[x], xy is d[x][y]
-            row_x, y = d[s[0]], s[1]
-            xy = row_x[y]
-            for i in range(2, len(s)):
-                z = s[i]
-                row_y = d[y]
-                yz = row_y[z]
-                if xy + yz == row_x[z]:
-                    out.append(i - 1)
-                row_x, y, xy = row_y, z, yz
-        return out
-
-    return smooth
-
-
 def magnitude_chain_complex(space, a, b, l):
     """Chain complex of sequences a -> b of length exactly l.
 
     Degree-k generators are the (k+1)-point sequences; the boundary drops
     one point at a time with alternating signs.  A drop that shortens the
     sequence leaves no generator and so counts as zero: only the smooth
-    interior points are dropped (_smooth_interior), and every endpoint
-    drop or other interior drop is skipped unsliced.
+    points are dropped (metric.smooth_points), and every endpoint drop or
+    other interior drop is skipped unsliced.  A smooth drop keeps the
+    length, and its face is a generator: its points stay distinct, as
+    d(x, z) > 0 for the neighbours x, z of a smooth point.
     """
-    return face_complex(lightlike_sequences(space, a, b, l), _smooth_interior(space))
+    return face_complex(
+        lightlike_sequences(space, a, b, l), lambda s: smooth_points(space, s)
+    )
 
 
 def relative_chain_complex(pair):

@@ -14,13 +14,12 @@ from .causal import achievable_lengths, lightlike_sequences
 from .homology import (
     HomologySummary,
     VerifyReport,
-    _smooth_interior,
     face_complex,
     homology,
     homology_table,
     magnitude_homology_total,
 )
-from .metric import InternalFault, _as_fraction, is_smooth, restriction
+from .metric import InternalFault, _as_fraction, is_smooth, restriction, smooth_points
 
 
 class FaceEscapedInterior(InternalFault):
@@ -66,7 +65,6 @@ def interior_part_betti(gspec, l):
     h = gspec.h
     l = _as_fraction(l)
     inside_k = frozenset(gspec.k_in_h)
-    smooth = _smooth_interior(h)
     parts = []
     for a in range(h.n):
         for b in range(h.n):
@@ -80,7 +78,8 @@ def interior_part_betti(gspec, l):
                 if outside:
                     cells.append(seq)
             if cells:
-                parts.append(homology(face_complex(cells, smooth)))
+                cc = face_complex(cells, lambda s: smooth_points(h, s))
+                parts.append(homology(cc))
     return HomologySummary.direct_sum(parts)
 
 
