@@ -2,11 +2,10 @@
 
 A boundary out of degree k is a list of sparse columns, one per degree-k
 generator, each a {row: value} map over the degree-(k-1) basis with no zero
-stored.  Only ChainComplex.matrix(k) spells a boundary out as dense integer
-rows, the input of the Smith normal form; the tracer of the benchmark reads
-its cells and nonzeros from those rows, so they stay its input until the
-form takes the sparse columns themselves.  All elimination is fraction-free
-over Python ints, so ranks, Betti numbers, and torsion are exact.
+stored.  The Smith normal form takes those columns as they are, each one a
+row of the transpose, which has the same invariant factors; no boundary is
+ever spelled out as a dense matrix.  All elimination is fraction-free over
+Python ints, so ranks, Betti numbers, and torsion are exact.
 
 face_complex is the one builder of a boundary.  It slices and looks up
 only the faces that its face rule names: the entries of a cell whose
@@ -21,7 +20,6 @@ column for column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import gcd
 
 from .causal import (
@@ -72,30 +70,29 @@ def _pivot(rows):
     return best
 
 
-def smith_normal_form(matrix):
-    """Invariant factors of an integer matrix, by sparse elimination.
+def smith_normal_form(columns):
+    """Invariant factors of an integer matrix given by its sparse columns,
+    {row: value} maps with no zero stored, as ChainComplex.boundary holds
+    them.
 
-    Rows are kept as {column: value} maps, read off the dense rows by their
-    nonzeros only.  The pivot is a nonzero of least absolute value; the
-    other rows of its column are reduced against the pivot row.  Once the
-    pivot stands alone in its column its own row is reduced modulo the
-    pivot (a column operation that changes no other row); modulo a unit
-    pivot every remainder is zero, so its row and column go.  A nonzero
-    remainder is smaller than the pivot and so becomes the next pivot; a
-    pivot left alone in its row and column is recorded.  The recorded
-    pivots, up to sign, are brought into invariant-factor form, and the
-    units that takes away lead the diagonal.
+    Each column is eliminated as a row of the transpose, which has the same
+    invariant factors; it is copied first, so the caller's columns stay as
+    they were.  The pivot is a nonzero of least absolute value; the other
+    rows of its column are reduced against the pivot row.  Once the pivot
+    stands alone in its column its own row is reduced modulo the pivot (a
+    column operation that changes no other row); modulo a unit pivot every
+    remainder is zero, so its row and column go.  A nonzero remainder is
+    smaller than the pivot and so becomes the next pivot; a pivot left alone
+    in its row and column is recorded.  The recorded pivots, up to sign, are
+    brought into invariant-factor form, and the units that takes away lead
+    the diagonal.
     """
     rows = {}
     cols = {}
-    # compress picks the nonzeros' column numbers in C, out of one shared
-    # list, so no int is made for a zero cell
-    numbers = list(range(max(map(len, matrix), default=0)))
-    for i, row in enumerate(matrix):
-        nonzero = list(compress(numbers, row))
-        if nonzero:
-            rows[i] = {j: row[j] for j in nonzero}
-            for j in nonzero:
+    for i, col in enumerate(columns):
+        if col:
+            rows[i] = dict(col)
+            for j in col:
                 cols.setdefault(j, set()).add(i)
     factors = []
     while rows:
@@ -141,9 +138,9 @@ class ChainComplex:
 
     basis maps degree -> ordered list of generator keys; boundary maps
     degree k to its columns, one {row: value} map per degree-k generator,
-    rows indexing the degree-(k-1) basis and no zero stored.  A degree
-    missing from boundary has the zero boundary.  matrix(k) is the one
-    dense form, read by the Smith normal form.
+    rows indexing the degree-(k-1) basis and no zero stored; the Smith
+    normal form reads them as they are.  A degree missing from boundary has
+    the zero boundary.
     """
 
     __slots__ = ("basis", "boundary")
@@ -158,15 +155,6 @@ class ChainComplex:
 
     def rank(self, k):
         return len(self.basis.get(k, ()))
-
-    def matrix(self, k):
-        """Dense boundary matrix out of degree k; rows indexed by degree k-1."""
-        width = self.rank(k)
-        mat = [[0] * width for _ in range(self.rank(k - 1))]
-        for c, col in enumerate(self.boundary.get(k, ())):
-            for r, v in col.items():
-                mat[r][c] = v
-        return mat
 
     def validate(self):
         """Check the column shapes, then d o d = 0 column by column: each
@@ -238,7 +226,7 @@ class HomologySummary:
 def homology(cc):
     """Betti numbers and torsion of an integer chain complex: the torsion
     in degree k is the invariant factors of the boundary out of k + 1."""
-    diags = {k: smith_normal_form(cc.matrix(k)).diag for k in cc.degrees()}
+    diags = {k: smith_normal_form(cc.boundary.get(k, ())).diag for k in cc.degrees()}
     betti = {}
     for k in cc.degrees():
         betti[k] = cc.rank(k) - len(diags[k]) - len(diags.get(k + 1, ()))

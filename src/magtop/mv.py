@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .causal import achievable_lengths, lightlike_sequences
+from .causal import achievable_lengths, lightlike_sequences, pair_achievable_lengths
 from .homology import (
     HomologySummary,
     VerifyReport,
@@ -50,37 +50,41 @@ def check_gated(gspec):
     return None
 
 
-def interior_part_betti(gspec, l):
-    """Homology of sequences in the attached side that touch its interior.
+def interior_part_betti(gspec, lmax):
+    """Homology of sequences in the attached side that touch its interior,
+    as {l: HomologySummary} over the lengths up to lmax that some pair of
+    h achieves with such a sequence.
 
     The caller has checked that the gluing is gated (check_gated).  Works
-    inside the h metric space: for each ordered endpoint pair, the
-    generators are full-length sequences meeting h∖K, and boundary faces
-    either shorten or keep touching.  A face stays full-length when the
-    dropped point is smooth, so the complex takes the smooth-interior face
-    rule; if that point were the sequence's only one in h∖K, the face would
-    leave the interior, which the gate inequality rules out, so it raises
+    inside the h metric space: for each ordered endpoint pair, at each
+    length the pair achieves (as homology_table does), the generators are
+    full-length sequences meeting h∖K, and boundary faces either shorten or
+    keep touching.  A face stays full-length when the dropped point is
+    smooth, so the complex takes the smooth-interior face rule; if that
+    point were the sequence's only one in h∖K, the face would leave the
+    interior, which the gate inequality rules out, so it raises
     FaceEscapedInterior instead of counting as zero.
     """
     h = gspec.h
-    l = _as_fraction(l)
+    lmax = _as_fraction(lmax)
     inside_k = frozenset(gspec.k_in_h)
-    parts = []
+    parts = {}
     for a in range(h.n):
         for b in range(h.n):
-            cells = []
-            for seq in lightlike_sequences(h, a, b, l):
-                outside = [i for i, p in enumerate(seq) if p not in inside_k]
-                if len(outside) == 1 and is_smooth(h, seq, outside[0]):
-                    raise FaceEscapedInterior(
-                        "full-length face of %r escaped the interior" % (seq,)
-                    )
-                if outside:
-                    cells.append(seq)
-            if cells:
-                cc = face_complex(cells, lambda s: smooth_points(h, s))
-                parts.append(homology(cc))
-    return HomologySummary.direct_sum(parts)
+            for l in pair_achievable_lengths(h, a, b, lmax):
+                cells = []
+                for seq in lightlike_sequences(h, a, b, l):
+                    outside = [i for i, p in enumerate(seq) if p not in inside_k]
+                    if len(outside) == 1 and is_smooth(h, seq, outside[0]):
+                        raise FaceEscapedInterior(
+                            "full-length face of %r escaped the interior" % (seq,)
+                        )
+                    if outside:
+                        cells.append(seq)
+                if cells:
+                    cc = face_complex(cells, lambda s: smooth_points(h, s))
+                    parts.setdefault(l, []).append(homology(cc))
+    return {l: HomologySummary.direct_sum(p) for l, p in sorted(parts.items())}
 
 
 def _compare(rows, problems, l, left, right, tag):
@@ -119,11 +123,12 @@ def verify_union(gluing, lmax):
         return refusal
     x, g = gluing.space, gluing.g
     tx, tg = (homology_table(s, lmax) for s in (x, g))
+    interior = interior_part_betti(gluing, lmax)
     return _additivity(
         "union", "interior part plus base side matches", lmax, (x, g, gluing.h),
         lambda l: (
             [magnitude_homology_total(tx, l)],
-            [interior_part_betti(gluing, l), magnitude_homology_total(tg, l)],
+            [interior.get(l, HomologySummary()), magnitude_homology_total(tg, l)],
         ),
     )
 

@@ -22,7 +22,13 @@ import pytest
 from magtop.causal import pair_achievable_lengths
 from magtop.docs import gluing_from_doc, load_fixture, space_from_doc
 from magtop.homology import magnitude_chain_complex
-from magtop.metric import product, random_metric_space, restriction
+from magtop.metric import (
+    from_distance_matrix,
+    from_weighted_graph,
+    product,
+    random_metric_space,
+    restriction,
+)
 from lengths import seq_length
 
 F = Fraction
@@ -115,6 +121,24 @@ def c4_fold():
     return c4, [a if c4.dist[a][p] % 2 == 0 else c for p in range(c4.n)], c4
 
 
+def truncated(x, c):
+    """x under the metric min(d, c), which is again a metric for c > 0."""
+    return from_distance_matrix(
+        x.labels, [[min(d, c) for d in row] for row in x.dist]
+    )
+
+
+def c4_collapse():
+    """c4 onto the triangle that collapsing its edge a-c leaves: each edge
+    goes onto an edge or a point, so no distance grows."""
+    c4 = fixture_space("c4")
+    k3 = from_weighted_graph(
+        ("ac", "b", "d"), [("ac", "b", 1), ("b", "d", 1), ("d", "ac", 1)]
+    )
+    image = {"a": "ac", "c": "ac", "b": "b", "d": "d"}
+    return c4, [k3.index(image[p]) for p in c4.labels], k3
+
+
 def projections(x, y):
     prod, pidx = product(x, y)
     to_x, to_y = [None] * prod.n, [None] * prod.n
@@ -150,6 +174,12 @@ def map_cases():
         cases.append(("%s-x-%s-to-y" % (left, right), prod, to_y, y, 4))
     c4, fold, _ = c4_fold()
     cases.append(("c4-fold", c4, fold, c4, 6))
+    # the identity onto the truncated metric shortens the steps longer than c
+    for den_max, seed, c in ((1, 0, F(3, 2)), (6, 2, F(3, 2))):
+        x = random_metric_space(5, seed, den_max)
+        cases.append(("truncate-den%d-seed%d" % (den_max, seed), x,
+                      list(range(x.n)), truncated(x, c), 4))
+    cases.append(("c4-collapse", *c4_collapse(), 6))
     return cases
 
 
@@ -169,19 +199,39 @@ def test_lipschitz_maps_commute_with_the_boundary(name):
     assert seen["boundary"] and seen["image"], seen
 
 
+def brings_apart_points_closer(f, x, y):
+    """Whether f shortens the distance of two points it keeps apart."""
+    return any(
+        f[p] != f[q] and y.dist[f[p]][f[q]] < x.dist[p][q]
+        for p in range(x.n)
+        for q in range(x.n)
+    )
+
+
 def test_dropping_the_length_condition_breaks_the_chain_map():
     # a projection shortens the diagonal steps of the product without
     # repeating a point, and such an image does not commute with the
-    # boundary; the inclusions are isometric and the fold shortens a
-    # sequence only by a repeat, so for them nothing changes
+    # boundary; so do the truncations, on the steps longer than c, and the
+    # collapse of c4, on a step across the collapsed edge.  The inclusions
+    # are isometric and the fold shortens a sequence only by a repeat, so
+    # for them nothing changes
     broken = []
     for name, (x, f, y, lmax) in sorted(MAP_CASES.items()):
         for a, b, l in pairs_and_lengths(x, lmax):
             if chain_map_defect(f, x, y, a, b, l, keep_length=False)[0] is not None:
                 broken.append(name)
                 break
-    assert broken == sorted(name for name in MAP_CASES if "-x-" in name)
-    assert len(broken) == 6
+    assert broken == sorted(
+        name
+        for name in MAP_CASES
+        if "-x-" in name or name.startswith("truncate-") or name == "c4-collapse"
+    )
+    assert len(broken) == 9
+    assert broken == sorted(
+        name
+        for name, (x, f, y, _) in MAP_CASES.items()
+        if brings_apart_points_closer(f, x, y)
+    )
 
 
 @pytest.mark.parametrize("name", ["c4", "k4", "random-den1", "random-den6"])

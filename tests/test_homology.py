@@ -1,5 +1,6 @@
 """Integer Smith reduction and the sequence homology of metric spaces."""
 
+import copy
 import importlib
 import random
 from collections import Counter
@@ -55,13 +56,40 @@ def mv_triangles_part(part):
     return lambda: getattr(gluing_from_doc(load_fixture("mv_triangles")), part)
 
 
+def columns(mat):
+    """The sparse {row: value} columns of a dense matrix, the form that
+    ChainComplex.boundary holds and smith_normal_form takes."""
+    width = len(mat[0]) if mat else 0
+    return [{r: row[c] for r, row in enumerate(mat) if row[c]} for c in range(width)]
+
+
+def dense(cc, k):
+    """The dense boundary matrix out of degree k, rows indexing degree k - 1:
+    sympy's input."""
+    mat = [[0] * cc.rank(k) for _ in range(cc.rank(k - 1))]
+    for c, col in enumerate(cc.boundary.get(k, ())):
+        for r, v in col.items():
+            mat[r][c] = v
+    return mat
+
+
+def snf_diag(mat):
+    """smith_normal_form's diag on mat's columns, checked against the diag
+    of mat's rows given as columns (the transpose)."""
+    diag = smith_normal_form(columns(mat)).diag
+    assert smith_normal_form(columns([list(r) for r in zip(*mat)])).diag == diag, mat
+    return diag
+
+
 def test_snf_known_small_matrix():
-    res = smith_normal_form([[1, 2], [3, 4]])
-    assert res.diag == (1, 2)
-    assert len(res.diag) == 2
-    assert smith_normal_form([[0, 0], [0, 0]]).diag == ()
-    assert smith_normal_form([[6]]).diag == (6,)
-    assert smith_normal_form([]).diag == ()
+    assert snf_diag([[1, 2], [3, 4]]) == (1, 2)
+    assert snf_diag([[0, 0], [0, 0]]) == ()
+    assert snf_diag([[6]]) == (6,)
+    assert snf_diag([[0, 3, 0]]) == (3,)
+    assert snf_diag([]) == ()
+    # a degree with no boundary, as homology hands it over
+    assert smith_normal_form(()).diag == ()
+    assert smith_normal_form([{}, {}]).diag == ()
 
 
 def scrambled(mat, rng, moves):
@@ -111,9 +139,9 @@ def test_snf_matches_sympy_on_random_matrices():
         mats.append(scrambled(square, rng, 12))
         mats.append(scrambled([row + [0] for row in square], rng, 20))
     for mat in mats:
-        assert list(smith_normal_form(mat).diag) == sympy_diag(mat), mat
+        assert list(snf_diag(mat)) == sympy_diag(mat), mat
     hidden = scrambled([[2, 0, 0], [0, 4, 0], [0, 0, 6]], rng, 30)
-    assert smith_normal_form(hidden).diag == (2, 2, 12)
+    assert snf_diag(hidden) == (2, 2, 12)
 
 
 def test_chain_complex_rejects_nonsquare_zero():
@@ -126,7 +154,7 @@ def test_chain_complex_rejects_nonsquare_zero():
 
 def test_homology_reads_torsion_from_snf():
     cc = ChainComplex({0: ["a"], 1: ["b"]}, {1: [{0: 2}]})
-    assert cc.matrix(1) == [[2]]
+    assert dense(cc, 1) == [[2]]
     summary = homology(cc)
     assert summary.betti == ()
     assert summary.torsion == ((0, (2,)),)
@@ -185,7 +213,7 @@ def moore_pair(ms):
     x = hg.space
     assert hg.l == 4
     cc = magnitude_chain_complex(x, x.index(hg.zero), x.index(hg.one), hg.l)
-    return homology(cc), cc.matrix(4)
+    return homology(cc), dense(cc, 4)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -211,9 +239,9 @@ def test_snf_repivots_on_a_remainder_left_in_the_pivot_column():
     # no unit anywhere, and the least entry 4 leaves 6 - 4 = 2 below itself,
     # so the elimination takes a new pivot before any is recorded
     mat = [[4, 6], [6, 4]]
-    assert smith_normal_form(mat).diag == (2, 10)
+    assert snf_diag(mat) == (2, 10)
     assert sympy_diag(mat) == [2, 10]
-    assert smith_normal_form([[6, 4], [4, 6], [10, 2]]).diag == (2, 2)
+    assert snf_diag([[6, 4], [4, 6], [10, 2]]) == (2, 2)
     assert sympy_diag([[6, 4], [4, 6], [10, 2]]) == [2, 2]
 
 
@@ -238,8 +266,9 @@ def test_snf_matches_sympy_on_torsion_boundaries(name):
             continue
         cc = magnitude_chain_complex(x, a, b, hg.l)
         for k in cc.degrees():
-            mat = cc.matrix(k)
-            diag = smith_normal_form(mat).diag
+            mat = dense(cc, k)
+            diag = smith_normal_form(cc.boundary.get(k, ())).diag
+            assert snf_diag(mat) == diag
             assert list(diag) == sympy_diag(mat), (name, x.labels[b], k)
             seen += [f for f in diag if f > 1]
     assert tuple(seen) == torsion
@@ -289,7 +318,7 @@ def test_magnitude_chain_complex_boundary_drops_interior():
     # the only degree-2 generator is (a, c, b); both drops shorten it
     assert cc.basis[2] == [(0, 2, 1)]
     assert cc.rank(1) == 0  # no two-point sequence reaches length 2
-    assert cc.matrix(2) == [[]] or cc.matrix(2) == []
+    assert dense(cc, 2) == []
     assert cc.validate()
     # diagonal pair: two bounces, boundary still zero
     cc = magnitude_chain_complex(sp, 0, 0, F(2))
@@ -329,7 +358,7 @@ def test_boundaries_match_length_rule_on_random_spaces():
                         basis, boundary = length_rule_boundaries(sp, a, b, l)
                         assert cc.basis == basis
                         for k, mat in boundary.items():
-                            assert cc.matrix(k) == mat, (den_max, seed, a, b, l, k)
+                            assert dense(cc, k) == mat, (den_max, seed, a, b, l, k)
                         assert all(
                             all(col.values())
                             for cols in cc.boundary.values()
@@ -399,6 +428,56 @@ def test_face_rule_skips_deletions_outside_it():
     first = face_complex(cells, lambda s: [0] if len(s) == 2 else [])
     assert first.boundary == {0: [{}, {}], 1: [{1: 1}]}
     assert face_complex(cells, lambda s: []).boundary[1] == [{}]
+
+
+SNF_ORACLE_CASES = {
+    **{
+        "random-den%d" % den_max: (
+            lambda den_max=den_max: [random_metric_space(5, seed, den_max) for seed in range(5)],
+            3,
+        )
+        for den_max in (1, 6)
+    },
+    "c4": (lambda: [fixture_space("c4")], 6),
+    "k4": (lambda: [fixture_space("k4")], 3),
+    "sycamore_twist-x": (lambda: [twist_side("x")()], 4),
+    "sycamore_twist-y": (lambda: [twist_side("y")()], 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SNF_ORACLE_CASES))
+def test_snf_of_boundary_columns_matches_sympy(case):
+    # every pair, achievable length and degree: the columns as the complex
+    # holds them against sympy on the dense matrix they spell out
+    make, lmax = SNF_ORACLE_CASES[case]
+    factors = 0
+    for space in make():
+        for a in range(space.n):
+            for b in range(space.n):
+                for l in pair_achievable_lengths(space, a, b, F(lmax)):
+                    cc = magnitude_chain_complex(space, a, b, l)
+                    for k in cc.degrees():
+                        diag = smith_normal_form(cc.boundary.get(k, ())).diag
+                        assert list(diag) == sympy_diag(dense(cc, k)), (case, a, b, l, k)
+                        factors += len(diag)
+    # k4 has no smooth point, so each of its boundaries is zero
+    assert bool(factors) == (case != "k4")
+
+
+def test_homology_leaves_the_boundary_as_it_was():
+    # the elimination works on copies of the columns: a torsion pair, whose
+    # pivots are not all units, and a pair with a rank in several degrees
+    hg = hasse_graph(RP2)
+    x = hg.space
+    c4 = fixture_space("c4")
+    for cc, torsion in (
+        (magnitude_chain_complex(x, x.index(hg.zero), x.index(hg.one), hg.l), True),
+        (magnitude_chain_complex(c4, 0, 0, F(4)), False),
+    ):
+        before = copy.deepcopy(cc.boundary)
+        assert bool(homology(cc).torsion) == torsion
+        assert cc.boundary == before
+        assert homology(cc) == homology(ChainComplex(cc.basis, before))
 
 
 def test_c4_antipodal_sphere_class():

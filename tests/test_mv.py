@@ -63,9 +63,12 @@ def test_refusal_passes_through_every_verifier():
 
 def test_interior_part_betti_values():
     gl = triangles()
-    assert interior_part_betti(gl, 0).betti == ((0, 1),)
-    assert interior_part_betti(gl, 1).betti == ((1, 2),)
-    assert interior_part_betti(gl, 2).betti == ((2, 2),)
+    parts = interior_part_betti(gl, 2)
+    assert sorted(parts) == [0, 1, 2]
+    assert parts[0].betti == ((0, 1),)
+    assert parts[1].betti == ((1, 2),)
+    assert parts[2].betti == ((2, 2),)
+    assert interior_part_betti(gl, 1) == {0: parts[0], 1: parts[1]}
 
 
 def test_escaped_face_raises_even_under_optimize():
@@ -109,23 +112,24 @@ def test_mv_additivity_on_triangles():
 
 @pytest.mark.parametrize("verify", [verify_mv, verify_union])
 def test_additivity_builds_no_complex_of_an_unreachable_pair(monkeypatch, verify):
-    # each space's table builds a pair's complex only at the lengths that
-    # pair achieves, so no enumeration the homology layer asks for is empty
-    # ("magtop.homology" as an attribute is the re-exported function)
-    module = importlib.import_module("magtop.homology")
-    real = module.lightlike_sequences
+    # each space's table, and the interior part of h, builds a pair's
+    # complex only at the lengths that pair achieves, so no enumeration is
+    # empty ("magtop.homology" as an attribute is the re-exported function)
     calls, empty = [], []
+    for name in ("magtop.homology", "magtop.mv"):
+        module = importlib.import_module(name)
 
-    def counted(space, a, b, l):
-        seqs = real(space, a, b, l)
-        calls.append((a, b, l))
-        if not seqs:
-            empty.append((a, b, l))
-        return seqs
+        def counted(space, a, b, l, real=module.lightlike_sequences, name=name):
+            seqs = real(space, a, b, l)
+            calls.append(name)
+            if not seqs:
+                empty.append((name, a, b, l))
+            return seqs
 
-    monkeypatch.setattr(module, "lightlike_sequences", counted)
+        monkeypatch.setattr(module, "lightlike_sequences", counted)
     assert verify(triangles(), 6)
-    assert calls
+    assert calls.count("magtop.homology")
+    assert calls.count("magtop.mv") == (30 if verify is verify_union else 0)
     assert empty == []
 
 def test_one_point_tree_gluing():
