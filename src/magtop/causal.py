@@ -268,9 +268,7 @@ def order_complex_pair(space, a, b, l):
     # the essential poset, from the stamps the relative-part check reuses
     stamped = {_stamps(space, s) for s in lightlike_sequences(space, a, b, l)}
     poset = CausalPoset(space, set().union(*stamped))
-    if not poset.points:
-        return [], False
-    top = scaled_target(space, l)  # an int, as sequences of length l exist
+    top = scaled_target(space, l)  # an int whenever the poset has points
     cells = [
         c for c in poset.chains()
         if scaled_length(space, [p for _, p in c]) >= top
@@ -293,9 +291,6 @@ def inner_pair(space, a, b, l):
     l = _as_fraction(l)
     if l <= 0:
         raise InvalidLength("positive length required, got %s" % (l,))
-    d_ab = space.dist[a][b]
-    if d_ab > l:
-        return [], False
     poset = essential_poset(space, a, b, l)
     top = scaled_target(space, l)  # an int whenever the poset has points
     ends = {(0, a), (top, b)}
@@ -304,6 +299,6 @@ def inner_pair(space, a, b, l):
         c for c in chains
         if scaled_length(space, [a] + [p for _, p in c] + [b]) >= top
     ]
-    augmented = d_ab == l
+    augmented = space.dist[a][b] == l
     assert not augmented or len(cells) == len(chains), "a chain undercuts l"
     return cells, augmented

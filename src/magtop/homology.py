@@ -242,7 +242,8 @@ def face_complex(cells, faces=None):
     the face rule, names the entries of a cell whose deletion gives a
     generator, and each of those faces once; the deletion of any other
     entry is never sliced or looked up.  Without a rule every entry is
-    tried.
+    tried.  No cell may hold one entry twice in a row, so that no two
+    deletions give the same face.
     """
     basis = {}
     for s in cells:
@@ -261,9 +262,7 @@ def face_complex(cells, faces=None):
                 for i in range(len(s)):
                     r = below.get(s[:i] + s[i + 1:])
                     if r is not None:
-                        v = col.pop(r, 0) + (-1) ** i
-                        if v:
-                            col[r] = v
+                        col[r] = -1 if i & 1 else 1
             else:
                 for i in faces(s):
                     col[below[s[:i] + s[i + 1:]]] = -1 if i & 1 else 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .causal import achievable_lengths, lightlike_sequences, pair_achievable_lengths
+from .causal import lightlike_sequences, pair_achievable_lengths
 from .homology import (
     HomologySummary,
     VerifyReport,
@@ -52,8 +52,9 @@ def check_gated(gspec):
 
 def interior_part_betti(gspec, lmax):
     """Homology of sequences in the attached side that touch its interior,
-    as {l: HomologySummary} over the lengths up to lmax that some pair of
-    h achieves with such a sequence.
+    as a homology table of h: {(a, b): {l: HomologySummary}} for every
+    ordered pair of h, holding only the lengths up to lmax at which the pair
+    has a sequence meeting h∖K.
 
     The caller has checked that the gluing is gated (check_gated).  Works
     inside the h metric space: for each ordered endpoint pair, at each
@@ -68,9 +69,10 @@ def interior_part_betti(gspec, lmax):
     h = gspec.h
     lmax = _as_fraction(lmax)
     inside_k = frozenset(gspec.k_in_h)
-    parts = {}
+    table = {}
     for a in range(h.n):
         for b in range(h.n):
+            row = table[a, b] = {}
             for l in pair_achievable_lengths(h, a, b, lmax):
                 cells = []
                 for seq in lightlike_sequences(h, a, b, l):
@@ -83,8 +85,8 @@ def interior_part_betti(gspec, lmax):
                         cells.append(seq)
                 if cells:
                     cc = face_complex(cells, lambda s: smooth_points(h, s))
-                    parts.setdefault(l, []).append(homology(cc))
-    return {l: HomologySummary.direct_sum(p) for l, p in sorted(parts.items())}
+                    row[l] = homology(cc)
+    return table
 
 
 def _compare(rows, problems, l, left, right, tag):
@@ -102,17 +104,21 @@ def _compare(rows, problems, l, left, right, tag):
                             % (tag, l, k, lt.get(k, ()), rt.get(k, ())))
 
 
-def _additivity(tag, claim, lmax, spaces, sides):
-    """The verdict that two direct sums agree at every length up to lmax
-    that one of spaces achieves; sides(l) gives the two lists of summands."""
-    lmax = _as_fraction(lmax)
-    lengths = sorted(set().union(*(achievable_lengths(s, lmax) for s in spaces)))
+def _additivity(tag, claim, lmax, left, right):
+    """The verdict that two direct sums agree at every length up to lmax:
+    left and right are lists of homology tables, and a side's summand at l
+    is the total of each of its tables there.  Only the lengths some table
+    holds are compared, as at any other length neither side has a group."""
+    lengths = sorted({l for t in left + right for row in t.values() for l in row})
     rows = []
     problems = []
     for l in lengths:
-        left, right = map(HomologySummary.direct_sum, sides(l))
-        _compare(rows, problems, l, left, right, tag)
-    detail = "; ".join(problems) or "%s up to q^%s" % (claim, lmax)
+        lt, rt = (
+            HomologySummary.direct_sum(magnitude_homology_total(t, l) for t in side)
+            for side in (left, right)
+        )
+        _compare(rows, problems, l, lt, rt, tag)
+    detail = "; ".join(problems) or "%s up to q^%s" % (claim, _as_fraction(lmax))
     return VerifyReport(not problems, detail, tuple(rows))
 
 
@@ -121,15 +127,10 @@ def verify_union(gluing, lmax):
     refusal = check_gated(gluing)
     if refusal is not None:
         return refusal
-    x, g = gluing.space, gluing.g
-    tx, tg = (homology_table(s, lmax) for s in (x, g))
-    interior = interior_part_betti(gluing, lmax)
+    tx, tg = (homology_table(s, lmax) for s in (gluing.space, gluing.g))
     return _additivity(
-        "union", "interior part plus base side matches", lmax, (x, g, gluing.h),
-        lambda l: (
-            [magnitude_homology_total(tx, l)],
-            [interior.get(l, HomologySummary()), magnitude_homology_total(tg, l)],
-        ),
+        "union", "interior part plus base side matches", lmax,
+        [tx], [interior_part_betti(gluing, lmax), tg],
     )
 
 
@@ -138,13 +139,8 @@ def verify_mv(gluing, lmax):
     refusal = check_gated(gluing)
     if refusal is not None:
         return refusal
-    x, g, h = gluing.space, gluing.g, gluing.h
-    k = restriction(g, gluing.k_in_g)
-    tx, tk, tg, th = (homology_table(s, lmax) for s in (x, k, g, h))
-    return _additivity(
-        "mv", "additivity holds", lmax, (x, g, h, k),
-        lambda l: (
-            [magnitude_homology_total(tx, l), magnitude_homology_total(tk, l)],
-            [magnitude_homology_total(tg, l), magnitude_homology_total(th, l)],
-        ),
+    k = restriction(gluing.g, gluing.k_in_g)
+    tx, tk, tg, th = (
+        homology_table(s, lmax) for s in (gluing.space, k, gluing.g, gluing.h)
     )
+    return _additivity("mv", "additivity holds", lmax, [tx, tk], [tg, th])

@@ -12,14 +12,27 @@ The target of f is taken to be the direct sum of the complexes of
 (f(a), f(b)) at every length up to l, so that a map which forgets the
 length condition is still a map of graded groups, and the check can catch
 it: its images of shorter length do not commute with the boundary.
+
+On the order-complex side f acts on causal points as (t, p) -> (t, f p).
+It maps the cells of order_complex_pair(x, a, b, l) to chains of y's
+causal order, and a cell's image is a cell of order_complex_pair(y, f a,
+f b, l) exactly when the chain map keeps its sequence; for those the
+map commutes with the stamping (seq_time_stamps) that verify_chain_iso
+compares the two complexes by.
 """
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from magtop.causal import pair_achievable_lengths
+from magtop.causal import (
+    CausalPoint,
+    order_complex_pair,
+    pair_achievable_lengths,
+    seq_time_stamps,
+)
 from magtop.docs import gluing_from_doc, load_fixture, space_from_doc
 from magtop.homology import magnitude_chain_complex
 from magtop.metric import (
@@ -232,6 +245,88 @@ def test_dropping_the_length_condition_breaks_the_chain_map():
         for name, (x, f, y, _) in MAP_CASES.items()
         if brings_apart_points_closer(f, x, y)
     )
+
+
+def stamp_image(f, chain):
+    """(t, p) -> (t, f p) on a chain of causal points."""
+    return tuple(CausalPoint(t, f[p]) for t, p in chain)
+
+
+def fraction_cells(space, a, b, l):
+    """The cells of order_complex_pair with Fraction times, so that the
+    times of two spaces with their own scales compare."""
+    scale = space._scaled[0]
+    return [
+        tuple(CausalPoint(Fraction(t, scale), p) for t, p in cell)
+        for cell in order_complex_pair(space, a, b, l)[0]
+    ]
+
+
+def is_chain(space, chain):
+    return all(
+        u.time < v.time and space.dist[u.point][v.point] <= v.time - u.time
+        for u, v in combinations(chain, 2)
+    )
+
+
+def order_complex_defect(f, x, y, a, b, l, keep_length=True):
+    """The first cell of x's order complex of (a, b, l) on which f fails,
+    as (reason, cell), or None; also how many cells f keeps.  f fails on a
+    cell when its image under (t, p) -> (t, f p) is no chain of y, when the
+    image is a cell of y's order complex of (f a, f b, l) other than
+    exactly when push keeps the cell's sequence, or when f does not
+    commute with the stamping of a sequence push keeps."""
+    target = set(fraction_cells(y, f[a], f[b], l))
+    kept = 0
+    for cell in fraction_cells(x, a, b, l):
+        image = stamp_image(f, cell)
+        if not is_chain(y, image):
+            return ("no chain", cell), kept
+        seq = tuple(p for _, p in cell)
+        pushed = push(f, y, seq, l, keep_length)
+        if (image in target) != bool(pushed):
+            return ("cell iff kept", cell), kept
+        if pushed:
+            fs = tuple(f[p] for p in seq)
+            if seq_time_stamps(y, fs) != stamp_image(f, seq_time_stamps(x, seq)):
+                return ("stamping", cell), kept
+            kept += 1
+    return None, kept
+
+
+@pytest.mark.parametrize("name", sorted(MAP_CASES))
+def test_lipschitz_maps_commute_with_the_stamping(name):
+    x, f, y, lmax = MAP_CASES[name]
+    kept = 0
+    for a, b, l in pairs_and_lengths(x, lmax):
+        defect, count = order_complex_defect(f, x, y, a, b, l)
+        assert defect is None, (name, a, b, l, defect)
+        kept += count
+    assert kept
+
+
+def test_dropping_the_length_condition_breaks_the_stamping():
+    # a shortened image without a repeat is still a chain of y, but its
+    # times are not y's prefix sums, so it is no cell of y's order complex
+    broken = [
+        name
+        for name, (x, f, y, lmax) in sorted(MAP_CASES.items())
+        if any(
+            order_complex_defect(f, x, y, a, b, l, keep_length=False)[0]
+            for a, b, l in pairs_and_lengths(x, lmax)
+        )
+    ]
+    assert broken == [
+        "c4-collapse",
+        "k3-x-two_point-to-x",
+        "k3-x-two_point-to-y",
+        "p2-x-k3-to-x",
+        "p2-x-k3-to-y",
+        "p2-x-two_point-to-x",
+        "p2-x-two_point-to-y",
+        "truncate-den1-seed0",
+        "truncate-den6-seed2",
+    ]
 
 
 @pytest.mark.parametrize("name", ["c4", "k4", "random-den1", "random-den6"])

@@ -10,7 +10,8 @@ import pytest
 
 import magtop
 from magtop.docs import gluing_from_doc, load_fixture
-from magtop.metric import MetricSpace, glue
+from magtop.homology import homology_table, magnitude_homology_total
+from magtop.metric import MetricSpace, glue, restriction
 from magtop.mv import (
     FaceEscapedInterior,
     NotGated,
@@ -64,11 +65,14 @@ def test_refusal_passes_through_every_verifier():
 def test_interior_part_betti_values():
     gl = triangles()
     parts = interior_part_betti(gl, 2)
-    assert sorted(parts) == [0, 1, 2]
-    assert parts[0].betti == ((0, 1),)
-    assert parts[1].betti == ((1, 2),)
-    assert parts[2].betti == ((2, 2),)
-    assert interior_part_betti(gl, 1) == {0: parts[0], 1: parts[1]}
+    assert parts.keys() == homology_table(gl.h, 2).keys()
+    assert sorted({l for row in parts.values() for l in row}) == [0, 1, 2]
+    assert magnitude_homology_total(parts, 0).betti == ((0, 1),)
+    assert magnitude_homology_total(parts, 1).betti == ((1, 2),)
+    assert magnitude_homology_total(parts, 2).betti == ((2, 2),)
+    assert interior_part_betti(gl, 1) == {
+        pair: {l: v for l, v in row.items() if l <= 1} for pair, row in parts.items()
+    }
 
 
 def test_escaped_face_raises_even_under_optimize():
@@ -131,6 +135,27 @@ def test_additivity_builds_no_complex_of_an_unreachable_pair(monkeypatch, verify
     assert calls.count("magtop.homology")
     assert calls.count("magtop.mv") == (30 if verify is verify_union else 0)
     assert empty == []
+
+
+@pytest.mark.parametrize("verify", [verify_mv, verify_union])
+def test_additivity_searches_lengths_once_per_table_row(monkeypatch, verify):
+    # each table, the interior part of h included, searches one pair's
+    # lengths per row, and the comparison reads its lengths from the tables
+    real, calls = magtop.causal._reachable_lengths, []
+
+    def counted(space, start, budget):
+        calls.append(space)
+        return real(space, start, budget)
+
+    monkeypatch.setattr(magtop.causal, "_reachable_lengths", counted)
+    gl = triangles()
+    assert verify(gl, 6)
+    if verify is verify_mv:
+        spaces = (gl.space, restriction(gl.g, gl.k_in_g), gl.g, gl.h)
+    else:
+        spaces = (gl.space, gl.g, gl.h)
+    assert len(calls) == sum(s.n ** 2 for s in spaces)
+
 
 def test_one_point_tree_gluing():
     gl = tree_gluing()
