@@ -178,6 +178,21 @@ def pair_achievable_lengths(space, a, b, budget):
     return _unscaled(space, _reachable_lengths(space, a, budget).get(b, ()))
 
 
+def _pairs_reaching(space, pairs, l):
+    """The (a, b) pairs with a sequence of length exactly l, in order: one
+    search of lengths per source, where pair_achievable_lengths makes one
+    per pair."""
+    top = scaled_target(space, l)
+    reach = {}
+    out = []
+    for a, b in pairs:
+        if a not in reach:
+            reach[a] = _reachable_lengths(space, a, l)
+        if top in reach[a].get(b, ()):
+            out.append((a, b))
+    return out
+
+
 def _stamps(space, seq):
     """The chain a sequence carries: (t, point) pairs, t the prefix sum of
     its scaled distances."""

@@ -23,6 +23,7 @@ from itertools import chain
 
 from .causal import (
     InvalidLength,
+    _pairs_reaching,
     _stamps,
     achievable_lengths,
     pair_achievable_lengths,
@@ -228,7 +229,8 @@ def cmd_homology(args):
             " (try: magtop lengths)" % format_rational(l)
         )
         return PASS_CODE, doc, [line]
-    tasks = [(space, a, b, l) for a, b in pairs]
+    # a pair that cannot reach l has no sequence to enumerate
+    tasks = [(space, a, b, l) for a, b in _pairs_reaching(space, pairs, l)]
     results = _run_tasks(_pair_homology, tasks, args.jobs)
     total = HomologySummary.direct_sum(summary for _, _, summary in results)
     doc = {

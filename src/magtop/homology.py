@@ -15,6 +15,12 @@ sequence.  A relative order complex has no length to keep, and a face of
 one of its chains may lie in the subcomplex, so it tries every entry and
 keeps the faces it finds; verify_chain_iso then compares the two routes
 column for column.
+
+homology clears, as persistent homology does (Chen and Kerber, "Persistent
+homology computation with a twist", 2011): it reduces the degrees from the
+top down, and the Smith normal form of d_k skips the columns that the unit
+pivots of d_(k+1) have already paired.  Those columns are integer
+combinations of the others, so the invariant factors stay as they were.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ class BoundarySquareNonzero(InternalFault):
 @dataclass(frozen=True)
 class SNFResult:
     diag: tuple  # invariant factors, positive, each dividing the next; len is the rank
+    cleared: frozenset  # row keys of the pivots recorded before the first non-unit step
 
 
 def _invariant_factors(factors):
@@ -86,6 +93,15 @@ def smith_normal_form(columns):
     in its row and column is recorded.  The recorded pivots, up to sign, are
     brought into invariant-factor form, and the units that takes away lead
     the diagonal.
+
+    cleared holds the row keys of the pivots recorded before the first
+    pivot step whose pivot is not a unit, whether or not that step records
+    anything.  Up to then every operation adds a multiple of a unit pivot's
+    row or column, so the block of the matrix on those pivots' rows and
+    columns is unimodular: the operations keep its determinant, and it ends
+    as a signed permutation.  A pivot recorded after a non-unit step may
+    owe its unit to that step's remainders, so the prefix ends at the step,
+    not at the first non-unit pivot recorded.
     """
     rows = {}
     cols = {}
@@ -95,8 +111,11 @@ def smith_normal_form(columns):
             for j in col:
                 cols.setdefault(j, set()).add(i)
     factors = []
+    cleared = set()
+    units = True  # every pivot step so far was a unit
     while rows:
         i, j, p = _pivot(rows)
+        units = units and p in (1, -1)
         prow = rows[i]
         others = cols[j]
         cols[j] = {i}  # and then any remainder the elimination leaves
@@ -129,8 +148,10 @@ def smith_normal_form(columns):
         del rows[i]
         cols[j].discard(i)
         factors.append(abs(p))
+        if units:
+            cleared.add(j)
     inv = _invariant_factors(factors)
-    return SNFResult(diag=(1,) * (len(factors) - len(inv)) + inv)
+    return SNFResult((1,) * (len(factors) - len(inv)) + inv, frozenset(cleared))
 
 
 class ChainComplex:
@@ -225,8 +246,30 @@ class HomologySummary:
 
 def homology(cc):
     """Betti numbers and torsion of an integer chain complex: the torsion
-    in degree k is the invariant factors of the boundary out of k + 1."""
-    diags = {k: smith_normal_form(cc.boundary.get(k, ())).diag for k in cc.degrees()}
+    in degree k is the invariant factors of the boundary out of k + 1.
+
+    The degrees are reduced from the top down, and the Smith normal form
+    of d_k gets only the columns of d_k whose degree-k cell is not in the
+    cleared set J of d_(k+1).  Only the degree directly above clears:
+    where degree k + 1 is missing, d_k keeps every column.  With I the
+    degree-(k+1) cells of those pivots, the block d_(k+1)[J, I] is
+    unimodular, and d_k d_(k+1) = 0 gives
+    d_k[:, J] = -d_k[:, not J] d_(k+1)[not J, I] d_(k+1)[J, I]^-1, an
+    integer combination of the other columns.  So the image of d_k, and
+    with it the rank and the invariant factors, stay as they were.  Every
+    degree still gets its own call, even with no column left.
+
+    Only the unit prefix may be cleared.  With d_2 = (2, 3)^T and
+    d_1 = (3, -2), the first pivot step of d_2 takes 2 and records
+    nothing; the unit 1 it leaves in row 1 is recorded next.  Clearing
+    row 1 would leave d_1 = (3), so H_0 = Z/3, where the complex is exact.
+    """
+    diags, cleared = {}, {}
+    for k in reversed(cc.degrees()):
+        skip = cleared.pop(k + 1, ())
+        cols = [col for c, col in enumerate(cc.boundary.get(k, ())) if c not in skip]
+        snf = smith_normal_form(cols)
+        diags[k], cleared[k] = snf.diag, snf.cleared
     betti = {}
     for k in cc.degrees():
         betti[k] = cc.rank(k) - len(diags[k]) - len(diags.get(k + 1, ()))

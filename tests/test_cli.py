@@ -140,6 +140,25 @@ def test_homology_searches_lengths_up_to_the_first_pair_that_reaches_l(
     assert calls == [(a, b) for a in range(3) for b in range(3)]
 
 
+def test_homology_enumerates_only_the_pairs_that_reach_l(capsys, monkeypatch):
+    # the 4-cycle a c b d is bipartite: at odd l only the pairs at odd
+    # distance have sequences, and the other eight are never enumerated
+    homology_module = importlib.import_module("magtop.homology")
+    calls = []
+    full = homology_module.lightlike_sequences
+
+    def counted(space, a, b, l):
+        calls.append((a, b))
+        return full(space, a, b, l)
+
+    monkeypatch.setattr(homology_module, "lightlike_sequences", counted)
+    code, out, _ = run(capsys, ["homology", "fixture:c4", "--l", "3", "--jobs", "1"])
+    assert code == 0
+    assert out.splitlines()[-1] == "* * 3 16 -"
+    c4 = docs.space_from_doc(docs.load_fixture("c4"))
+    assert calls == [(a, b) for a in range(4) for b in range(4) if c4.dist[a][b] % 2]
+
+
 def test_homology_of_a_deep_sequence(capsys, tmp_path):
     # the one a -> a sequence of length 2 over steps of 1/1000 has 2001
     # points, far past the interpreter's recursion limit

@@ -19,6 +19,11 @@ causal order, and a cell's image is a cell of order_complex_pair(y, f a,
 f b, l) exactly when the chain map keeps its sequence; for those the
 map commutes with the stamping (seq_time_stamps) that verify_chain_iso
 compares the two complexes by.
+
+Reversal is no map of spaces, but it is a chain isomorphism: s ->
+epsilon_k rev(s), with epsilon_k = (-1)^(k(k+1)/2), carries the complex of
+a -> b onto that of b -> a at the same length, so MH(a, b; l) and
+MH(b, a; l) agree, torsion included.
 """
 
 from collections import Counter
@@ -33,7 +38,7 @@ from magtop.causal import (
     pair_achievable_lengths,
     seq_time_stamps,
 )
-from magtop.docs import gluing_from_doc, load_fixture, space_from_doc
+from magtop.docs import gluing_from_doc, load_fixture, space_from_doc, twist_from_doc
 from magtop.homology import magnitude_chain_complex
 from magtop.metric import (
     from_distance_matrix,
@@ -381,3 +386,71 @@ def test_composites_give_the_composed_chain_map(case):
                 assert push(gf, z, s, l) == via, (case[0], s)
                 seen += bool(via)
     assert seen
+
+
+def reversal_sign(k):
+    """epsilon_k = (-1)^(k(k+1)/2), so that epsilon_k / epsilon_(k-1) = (-1)^k."""
+    return -1 if k * (k + 1) // 2 % 2 else 1
+
+
+def reversal_defect(x, a, b, l, sign=reversal_sign):
+    """The first generator s of MC(x; a, b, l) on which s -> sign(k) rev(s)
+    fails to commute with the boundaries into MC(x; b, a, l), with both
+    sides, or None; also how many generators had a nonzero boundary.
+    Deleting entry i of s is deleting entry k - i of its reverse, so the
+    boundaries differ by (-1)^k, which the signs make up."""
+    src = magnitude_chain_complex(x, a, b, l)
+    dst = magnitude_chain_complex(x, b, a, l)
+    assert {k: sorted(s[::-1] for s in gens) for k, gens in src.basis.items()} == dst.basis
+    where = {s: i for gens in dst.basis.values() for i, s in enumerate(gens)}
+    nonzero = 0
+    for k, cols in src.boundary.items():
+        for s, col in zip(src.basis[k], cols):
+            rev = s[::-1]
+            d_f = {
+                dst.basis[k - 1][r]: sign(k) * v
+                for r, v in dst.boundary[k][where[rev]].items()
+            }
+            f_d = {src.basis[k - 1][r][::-1]: sign(k - 1) * v for r, v in col.items()}
+            if d_f != f_d:
+                return (k, s, d_f, f_d), nonzero
+            nonzero += bool(col)
+    return None, nonzero
+
+
+REVERSAL_CASES = {
+    "c4": (lambda: [fixture_space("c4")], 6),
+    "k4": (lambda: [fixture_space("k4")], 4),
+    **{
+        "random-den%d" % den_max: (
+            lambda den_max=den_max: [random_metric_space(5, seed, den_max) for seed in range(5)],
+            3,
+        )
+        for den_max in (1, 6)
+    },
+    "sycamore_twist-x": (lambda: [twist_from_doc(load_fixture("sycamore_twist")).x.space], 4),
+    "sycamore_twist-y": (lambda: [twist_from_doc(load_fixture("sycamore_twist")).y.space], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REVERSAL_CASES))
+def test_signed_reversal_is_a_chain_isomorphism(name):
+    # a bijection of the bases, by the assert in reversal_defect, that
+    # commutes with the boundaries sign for sign; unsigned, it fails exactly
+    # where a boundary out of an odd degree is nonzero
+    make, lmax = REVERSAL_CASES[name]
+    nonzero = 0
+    odd = unsigned = False
+    for x in make():
+        for a, b, l in pairs_and_lengths(x, lmax):
+            defect, count = reversal_defect(x, a, b, l)
+            assert defect is None, (name, a, b, l, defect)
+            nonzero += count
+            cc = magnitude_chain_complex(x, a, b, l)
+            has_odd = any(any(cols) for k, cols in cc.boundary.items() if k % 2)
+            broken = reversal_defect(x, a, b, l, sign=lambda k: 1)[0] is not None
+            assert broken == has_odd, (name, a, b, l)
+            odd = odd or has_odd
+            unsigned = unsigned or broken
+    # k4 has no smooth point, so each of its boundaries is zero
+    assert bool(nonzero) == odd == unsigned == (name != "k4")

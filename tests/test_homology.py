@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction
@@ -450,7 +451,7 @@ def test_snf_of_boundary_columns_matches_sympy(case):
     # every pair, achievable length and degree: the columns as the complex
     # holds them against sympy on the dense matrix they spell out
     make, lmax = SNF_ORACLE_CASES[case]
-    factors = 0
+    factors = cleared = 0
     for space in make():
         for a in range(space.n):
             for b in range(space.n):
@@ -458,10 +459,208 @@ def test_snf_of_boundary_columns_matches_sympy(case):
                     cc = magnitude_chain_complex(space, a, b, l)
                     for k in cc.degrees():
                         diag = smith_normal_form(cc.boundary.get(k, ())).diag
-                        assert list(diag) == sympy_diag(dense(cc, k)), (case, a, b, l, k)
+                        mat = dense(cc, k)
+                        assert list(diag) == sympy_diag(mat), (case, a, b, l, k)
                         factors += len(diag)
+                        # the columns that d_(k+1)'s unit pivots clear do not
+                        # change the invariant factors
+                        skip = smith_normal_form(cc.boundary.get(k + 1, ())).cleared
+                        cut = [[v for c, v in enumerate(row) if c not in skip] for row in mat]
+                        assert sympy_diag(cut) == list(diag), (case, a, b, l, k)
+                        cleared += len(skip)
     # k4 has no smooth point, so each of its boundaries is zero
-    assert bool(factors) == (case != "k4")
+    assert bool(factors) == bool(cleared) == (case != "k4")
+
+
+def full_homology(cc):
+    """homology without clearing: every degree's Smith normal form on all
+    of its columns, the oracle of the cleared route."""
+    diags = {k: smith_normal_form(cc.boundary.get(k, ())).diag for k in cc.degrees()}
+    betti = {
+        k: cc.rank(k) - len(diags[k]) - len(diags.get(k + 1, ()))
+        for k in cc.degrees()
+    }
+    return HomologySummary.build(betti, {k - 1: diag for k, diag in diags.items()})
+
+
+def sequence_complexes(space, lmax):
+    return [
+        magnitude_chain_complex(space, a, b, l)
+        for a in range(space.n)
+        for b in range(space.n)
+        for l in pair_achievable_lengths(space, a, b, F(lmax))
+    ]
+
+
+def random_complexes(den_max):
+    """The sequence complexes of the 5-point spaces at seeds 0-4 up to
+    length 3, and at each positive length the relative complex of the
+    endpoint-stripped pair."""
+    out = []
+    for seed in range(5):
+        space = random_metric_space(5, seed, den_max)
+        for a in range(space.n):
+            for b in range(space.n):
+                for l in pair_achievable_lengths(space, a, b, F(3)):
+                    out.append(magnitude_chain_complex(space, a, b, l))
+                    if l:
+                        out.append(relative_chain_complex(inner_pair(space, a, b, l)))
+    return out
+
+
+def hasse_complexes(facets):
+    """The sequence complexes out of 0hat at the Hasse graph's length."""
+    hg = hasse_graph(facets)
+    x = hg.space
+    a = x.index(hg.zero)
+    return [
+        magnitude_chain_complex(x, a, b, hg.l)
+        for b in range(x.n)
+        if hg.l in pair_achievable_lengths(x, a, b, hg.l)
+    ]
+
+
+CLEARING_CASES = {
+    "random-den1": (lambda: random_complexes(1), 0),
+    "random-den6": (lambda: random_complexes(6), 0),
+    "rp2-hasse": (lambda: hasse_complexes(RP2), 1),
+    "moore_z3-hasse": (lambda: hasse_complexes(load_fixture("moore_z3")["facets"]), 1),
+    "moore_z4-hasse": (lambda: hasse_complexes(moore_space(4, "x")), 1),
+    "c4": (lambda: sequence_complexes(fixture_space("c4"), 6), 0),
+    "k4": (lambda: sequence_complexes(fixture_space("k4"), 3), 0),
+    "sycamore_twist-x": (lambda: sequence_complexes(twist_side("x")(), 4), 0),
+    "sycamore_twist-y": (lambda: sequence_complexes(twist_side("y")(), 4), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLEARING_CASES))
+def test_clearing_matches_the_full_route(case):
+    make, torsion = CLEARING_CASES[case]
+    complexes = make()
+    assert complexes
+    seen = 0
+    for cc in complexes:
+        summary = homology(cc)
+        assert summary == full_homology(cc), (case, cc.basis)
+        seen += bool(summary.torsion)
+    assert seen == torsion
+
+
+def test_clearing_keeps_one_call_per_degree_and_skips_columns(monkeypatch):
+    # every degree gets its own call, from the top down, and the calls see
+    # fewer columns than the complex holds: the unit pivots of the degree
+    # above cleared them
+    homology_module = importlib.import_module("magtop.homology")
+    calls = []
+    full = homology_module.smith_normal_form
+
+    def recorded(columns):
+        calls.append(len(columns))
+        return full(columns)
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", recorded)
+    cc = magnitude_chain_complex(fixture_space("c4"), 0, 0, F(4))
+    assert homology(cc) == full_homology(cc)
+    every = [len(cc.boundary.get(k, ())) for k in reversed(cc.degrees())]
+    assert len(calls) == len(every) == 3
+    assert calls[0] == every[0] and sum(calls) < sum(every)
+
+
+def two_three():
+    """Z -> Z^2 -> Z with d_2 = (2, 3)^T and d_1 = (3, -2): exact."""
+    return ChainComplex(
+        {0: ["p"], 1: ["e", "f"], 2: ["t"]},
+        {1: [{0: 3}, {0: -2}], 2: [{0: 2, 1: 3}]},
+    )
+
+
+def test_unit_prefix_ends_at_the_first_non_unit_step():
+    # the first step takes the pivot 2 and records nothing; the unit 1 that
+    # its remainder leaves in row 1 is recorded next, after a non-unit step,
+    # so nothing is cleared
+    cc = two_three()
+    snf = smith_normal_form(cc.boundary[2])
+    assert snf.diag == (1,) and snf.cleared == frozenset()
+    assert homology(cc) == full_homology(cc) == HomologySummary()
+    # d_1 without the column of that recorded unit has the wrong factor
+    assert smith_normal_form([cc.boundary[1][0]]).diag == (3,)
+
+
+# the prefix ended at the first non-unit pivot recorded, not at the first
+# non-unit step
+RECORDED_PREFIX = (
+    ("        units = units and p in (1, -1)\n", ""),
+    ("        if units:\n", "        units = units and p in (1, -1)\n        if units:\n"),
+)
+
+
+def mutated_snf(edits):
+    """smith_normal_form with each (old, new) edit made once in its source."""
+    source = inspect.getsource(smith_normal_form)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    scope = dict(vars(importlib.import_module("magtop.homology")))
+    exec(source, scope)
+    return scope["smith_normal_form"]
+
+
+def test_a_prefix_ended_at_the_first_recorded_non_unit_fails(monkeypatch):
+    mutant = mutated_snf(RECORDED_PREFIX)
+    assert mutant(two_three().boundary[2]).cleared == frozenset({1})
+    monkeypatch.setattr(importlib.import_module("magtop.homology"), "smith_normal_form", mutant)
+    assert homology(two_three()) == HomologySummary.build({}, {0: [3]})
+
+
+def random_integer_complex(rng):
+    """Z^n2 -> Z^n1 -> Z^n0 with a random d_1 of small entries and d_2
+    random integer combinations of a basis of d_1's kernel, or None when
+    that kernel is zero."""
+    n0, n1, n2 = rng.randint(1, 3), rng.randint(2, 5), rng.randint(1, 4)
+    d1 = [[rng.randint(-3, 3) for _ in range(n1)] for _ in range(n0)]
+    kernel = []
+    for v in sympy.Matrix(d1).nullspace():
+        m = sympy.ilcm(*[x.q for x in v])
+        kernel.append([int(x * m) for x in v])
+    if not kernel:
+        return None
+    coefs = [[rng.randint(-2, 2) for _ in kernel] for _ in range(n2)]
+    d2 = [[sum(c * k[r] for c, k in zip(cs, kernel)) for cs in coefs] for r in range(n1)]
+    return ChainComplex(
+        {0: list(range(n0)), 1: list(range(n1)), 2: list(range(n2))},
+        {1: columns(d1), 2: columns(d2)},
+    )
+
+
+def test_clearing_matches_the_full_route_on_random_integer_complexes(monkeypatch):
+    # non-unit pivots mixed with units, where the torsion of the sequence
+    # complexes comes only late; the recorded-prefix mutant and one that
+    # clears every recorded pivot both fail here
+    rng = random.Random(11)
+    complexes = [cc for cc in (random_integer_complex(rng) for _ in range(150)) if cc]
+    want = [full_homology(cc) for cc in complexes]
+    assert [homology(cc) for cc in complexes] == want
+    assert sum(bool(w.torsion) for w in want) > 10
+    homology_module = importlib.import_module("magtop.homology")
+    every_pivot = (("        if units:\n            cleared.add(j)\n", "        cleared.add(j)\n"),)
+    for edits in (RECORDED_PREFIX, every_pivot):
+        monkeypatch.setattr(homology_module, "smith_normal_form", mutated_snf(edits))
+        assert any(homology(cc) != w for cc, w in zip(complexes, want)), edits
+
+
+def test_clearing_reaches_only_the_degree_directly_below():
+    # degree 2 is missing: the cleared set of d_4 names degree-3 cells, and
+    # d_3 has nothing to clear; d_1 keeps its column
+    cc = ChainComplex(
+        {0: ["p"], 1: ["e"], 3: ["u", "v"], 4: ["w"]},
+        {1: [{0: 2}], 4: [{0: 1}]},
+    )
+    assert smith_normal_form(cc.boundary[4]).cleared == frozenset({0})
+    summary = homology(cc)
+    assert summary == full_homology(cc)
+    assert summary == HomologySummary.build({3: 1}, {0: [2]})
+    # that set handed to d_1 would lose its torsion
+    assert smith_normal_form([]).diag == ()
 
 
 def test_homology_leaves_the_boundary_as_it_was():
