@@ -178,19 +178,19 @@ def pair_achievable_lengths(space, a, b, budget):
     return _unscaled(space, _reachable_lengths(space, a, budget).get(b, ()))
 
 
-def _pairs_reaching(space, pairs, l):
-    """The (a, b) pairs with a sequence of length exactly l, in order: one
-    search of lengths per source, where pair_achievable_lengths makes one
-    per pair."""
-    top = scaled_target(space, l)
-    reach = {}
-    out = []
+def _pair_lengths(space, budget, pairs=None):
+    """Yield (a, b, pair_achievable_lengths(space, a, b, budget)) for each
+    (a, b) of pairs in order, every ordered pair when pairs is None.
+
+    One search of lengths per run of pairs from the same source, holding
+    only that source's result, so callers list their pairs by source."""
+    if pairs is None:
+        pairs = ((a, b) for a in range(space.n) for b in range(space.n))
+    source = reach = None
     for a, b in pairs:
-        if a not in reach:
-            reach[a] = _reachable_lengths(space, a, l)
-        if top in reach[a].get(b, ()):
-            out.append((a, b))
-    return out
+        if a != source:
+            source, reach = a, _reachable_lengths(space, a, budget)
+        yield a, b, _unscaled(space, reach.get(b, ()))
 
 
 def _stamps(space, seq):

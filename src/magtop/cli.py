@@ -23,7 +23,7 @@ from itertools import chain
 
 from .causal import (
     InvalidLength,
-    _pairs_reaching,
+    _pair_lengths,
     _stamps,
     achievable_lengths,
     pair_achievable_lengths,
@@ -222,6 +222,7 @@ def cmd_homology(args):
     space = _load_space(args.input, args.seed)
     l = _length_arg(args.l)
     pairs = _selected_pairs(space, args.from_label, args.to_label)
+    # stops at the first pair reaching l; the call perfbench traces in homology-cycles
     if not any(l in pair_achievable_lengths(space, a, b, l) for a, b in pairs):
         doc = {"l": format_rational(l), "rows": [], "total": []}
         line = (
@@ -230,7 +231,8 @@ def cmd_homology(args):
         )
         return PASS_CODE, doc, [line]
     # a pair that cannot reach l has no sequence to enumerate
-    tasks = [(space, a, b, l) for a, b in _pairs_reaching(space, pairs, l)]
+    reach = _pair_lengths(space, l, pairs)
+    tasks = [(space, a, b, l) for a, b, lengths in reach if l in lengths]
     results = _run_tasks(_pair_homology, tasks, args.jobs)
     total = HomologySummary.direct_sum(summary for _, _, summary in results)
     doc = {
@@ -359,12 +361,11 @@ def cmd_hasse(args):
 def _verify_pairwise(args, space, lmax):
     kind = args.check
     tasks = []
-    for a in range(space.n):
-        for b in range(space.n):
-            for l in pair_achievable_lengths(space, a, b, lmax):
-                if kind == "suspension" and l == 0:
-                    continue  # the stripped model needs distinct cone points
-                tasks.append((kind, space, a, b, l))
+    for a, b, lengths in _pair_lengths(space, lmax):
+        for l in lengths:
+            if kind == "suspension" and l == 0:
+                continue  # the stripped model needs distinct cone points
+            tasks.append((kind, space, a, b, l))
     results = _run_tasks(_pair_check, tasks, args.jobs)
     by_length = {}
     failures = []

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from .causal import (
+    _pair_lengths,
     _stamps,
     inner_pair,
     lightlike_sequences,
     order_complex_pair,
-    pair_achievable_lengths,
 )
 from .metric import InternalFault, _as_fraction, product, smooth_points
 
@@ -398,15 +398,12 @@ def verify_suspension_shift(space, a, b, l):
 def homology_table(space, lmax):
     """MH of every ordered endpoint pair at each length up to lmax that the
     pair achieves, as {(a, b): {l: HomologySummary}}; a length the pair
-    cannot reach has no sequence, so zero homology, and no entry."""
+    cannot reach has no sequence, so zero homology, and no entry.  The
+    lengths come from one search per source (causal._pair_lengths)."""
     lmax = _as_fraction(lmax)
     return {
-        (a, b): {
-            l: homology(magnitude_chain_complex(space, a, b, l))
-            for l in pair_achievable_lengths(space, a, b, lmax)
-        }
-        for a in range(space.n)
-        for b in range(space.n)
+        (a, b): {l: homology(magnitude_chain_complex(space, a, b, l)) for l in lengths}
+        for a, b, lengths in _pair_lengths(space, lmax)
     }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .causal import lightlike_sequences, pair_achievable_lengths
+from .causal import _pair_lengths, lightlike_sequences
 from .homology import (
     HomologySummary,
     VerifyReport,
@@ -58,34 +58,33 @@ def interior_part_betti(gspec, lmax):
 
     The caller has checked that the gluing is gated (check_gated).  Works
     inside the h metric space: for each ordered endpoint pair, at each
-    length the pair achieves (as homology_table does), the generators are
-    full-length sequences meeting h∖K, and boundary faces either shorten or
-    keep touching.  A face stays full-length when the dropped point is
-    smooth, so the complex takes the smooth-interior face rule; if that
-    point were the sequence's only one in h∖K, the face would leave the
-    interior, which the gate inequality rules out, so it raises
-    FaceEscapedInterior instead of counting as zero.
+    length the pair achieves (one search of lengths per source, as in
+    homology_table), the generators are full-length sequences meeting h∖K,
+    and boundary faces either shorten or keep touching.  A face stays
+    full-length when the dropped point is smooth, so the complex takes the
+    smooth-interior face rule; if that point were the sequence's only one
+    in h∖K, the face would leave the interior, which the gate inequality
+    rules out, so it raises FaceEscapedInterior instead of counting as zero.
     """
     h = gspec.h
     lmax = _as_fraction(lmax)
     inside_k = frozenset(gspec.k_in_h)
     table = {}
-    for a in range(h.n):
-        for b in range(h.n):
-            row = table[a, b] = {}
-            for l in pair_achievable_lengths(h, a, b, lmax):
-                cells = []
-                for seq in lightlike_sequences(h, a, b, l):
-                    outside = [i for i, p in enumerate(seq) if p not in inside_k]
-                    if len(outside) == 1 and is_smooth(h, seq, outside[0]):
-                        raise FaceEscapedInterior(
-                            "full-length face of %r escaped the interior" % (seq,)
-                        )
-                    if outside:
-                        cells.append(seq)
-                if cells:
-                    cc = face_complex(cells, lambda s: smooth_points(h, s))
-                    row[l] = homology(cc)
+    for a, b, lengths in _pair_lengths(h, lmax):
+        row = table[a, b] = {}
+        for l in lengths:
+            cells = []
+            for seq in lightlike_sequences(h, a, b, l):
+                outside = [i for i, p in enumerate(seq) if p not in inside_k]
+                if len(outside) == 1 and is_smooth(h, seq, outside[0]):
+                    raise FaceEscapedInterior(
+                        "full-length face of %r escaped the interior" % (seq,)
+                    )
+                if outside:
+                    cells.append(seq)
+            if cells:
+                cc = face_complex(cells, lambda s: smooth_points(h, s))
+                row[l] = homology(cc)
     return table
 
 

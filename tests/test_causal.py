@@ -9,6 +9,7 @@ import pytest
 from magtop.causal import (
     CausalPoint,
     CausalPoset,
+    _pair_lengths,
     _stamps,
     achievable_lengths,
     essential_poset,
@@ -19,6 +20,7 @@ from magtop.causal import (
     seq_time_stamps,
 )
 from magtop.docs import load_fixture, space_from_doc
+from magtop.frames import hasse_graph
 from magtop.homology import relative_chain_complex
 from magtop.metric import (
     from_distance_matrix,
@@ -27,7 +29,7 @@ from magtop.metric import (
 )
 from magtop.series import perturbative_inverse
 from lengths import min_positive_distance, seq_length
-from simplicial import closed_under_faces, complex_of, poset_laws
+from simplicial import RP2, closed_under_faces, complex_of, poset_laws
 
 F = Fraction
 
@@ -111,9 +113,11 @@ def test_lightlike_edge_cases():
 def test_perturbative_inverse_includes_constant():
     sp = unit_complete(2)
     # the constant sequence (0,) alone, and (0, 1, 0) with sign +1
-    assert perturbative_inverse(sp, 0, 0, F(2)) == {F(0): 1, F(2): 1}
+    lengths = pair_achievable_lengths(sp, 0, 0, F(2))
+    assert perturbative_inverse(sp, 0, 0, lengths) == {F(0): 1, F(2): 1}
     # endpoints differ: no zero-length term, (0, 1) with sign -1
-    assert perturbative_inverse(sp, 0, 1, F(2)) == {F(1): -1}
+    lengths = pair_achievable_lengths(sp, 0, 1, F(2))
+    assert perturbative_inverse(sp, 0, 1, lengths) == {F(1): -1}
 
 
 def test_achievable_lengths_against_enumeration():
@@ -145,6 +149,34 @@ def test_negative_budget_has_no_lengths():
     assert achievable_lengths(sp, 0) == [F(0)]
     assert pair_achievable_lengths(sp, 0, 0, F(0)) == [F(0)]
     assert pair_achievable_lengths(sp, 0, 1, F(0)) == []
+
+
+PAIR_LENGTH_CASES = ["c4", "k4", "rp2_hasse"] + [
+    "random-%d-%d" % (den_max, seed) for den_max in (1, 6) for seed in range(5)
+]
+
+
+@pytest.mark.parametrize("case", PAIR_LENGTH_CASES)
+def test_pair_lengths_match_a_search_per_pair(case):
+    # one search per source gives, pair for pair, what one search per pair
+    # gives, also when a source comes back after another one
+    if case == "rp2_hasse":
+        space = hasse_graph(RP2).space
+    elif case.startswith("random-"):
+        _, den_max, seed = case.split("-")
+        space = random_metric_space(5, int(seed), int(den_max))
+    else:
+        space = space_from_doc(load_fixture(case))
+    every = [(a, b) for a in range(space.n) for b in range(space.n)]
+    revisit = [(0, 1), (1, 0), (1, 2), (0, 2), (0, 0)]
+    for budget in (F(-1), F(0), F(3, 2), F(3)):
+        for pairs, listed in ((None, every), (revisit, revisit)):
+            got = list(_pair_lengths(space, budget, pairs))
+            assert got == [
+                (a, b, pair_achievable_lengths(space, a, b, budget))
+                for a, b in listed
+            ], (budget, pairs)
+            assert budget >= 0 or not any(lengths for _, _, lengths in got)
 
 
 def test_time_stamps_are_prefix_sums():

@@ -140,6 +140,22 @@ def test_homology_searches_lengths_up_to_the_first_pair_that_reaches_l(
     assert calls == [(a, b) for a in range(3) for b in range(3)]
 
 
+@pytest.mark.parametrize("check", ["chain-iso", "suspension", "frames", "euler"])
+def test_verify_searches_lengths_once_per_source(capsys, monkeypatch, check):
+    causal = importlib.import_module("magtop.causal")
+    real, starts = causal._reachable_lengths, []
+
+    def counted(space, start, budget):
+        starts.append(start)
+        return real(space, start, budget)
+
+    monkeypatch.setattr(causal, "_reachable_lengths", counted)
+    argv = ["verify", check, "fixture:c4", "--lmax", "2", "--jobs", "1"]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert starts == [0, 1, 2, 3]
+
+
 def test_homology_enumerates_only_the_pairs_that_reach_l(capsys, monkeypatch):
     # the 4-cycle a c b d is bipartite: at odd l only the pairs at odd
     # distance have sequences, and the other eight are never enumerated
@@ -806,7 +822,7 @@ VERIFIER_FAILS = {
         "magtop.series",
         "perturbative_inverse",
         # zero counts over the real lengths
-        lambda real: lambda space, a, b, lmax: dict.fromkeys(real(space, a, b, lmax), 0),
+        lambda real: lambda space, a, b, lengths: dict.fromkeys(lengths, 0),
         ["FAIL at (a,a) length 0: coefficient 1 vs euler 0", "FAIL"],
     ),
     "mv": (
@@ -1241,6 +1257,41 @@ def test_every_member_has_a_reader_in_src():
     ]
     assert len(defs) > 100
     assert unread == READER_IN_TESTS
+
+
+def unread_imports(tree):
+    """(line, name) of each name the module imports and never reads; the
+    strings of an __all__ list count as reads."""
+    imported, reads = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported += [
+                    (node.lineno, alias.asname or alias.name.split(".")[0])
+                    for alias in node.names
+                ]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            reads.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in reads]
+
+
+def test_every_import_is_read():
+    # a helper that moves leaves its old imports behind, which nothing else
+    # reports, since importing an unused name still works
+    leftover = "from .causal import _pair_lengths, walks\nwalks()\n"
+    assert unread_imports(ast.parse(leftover)) == [(1, "_pair_lengths")]
+    package = os.path.dirname(magtop.__file__)
+    unread = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            unread += [(name,) + found for found in unread_imports(tree)]
+    assert unread == []
 
 
 def test_import_leaves_the_process_pool_unloaded():
