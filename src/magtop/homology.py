@@ -7,14 +7,16 @@ row of the transpose, which has the same invariant factors; no boundary is
 ever spelled out as a dense matrix.  All elimination is fraction-free over
 Python ints, so ranks, Betti numbers, and torsion are exact.
 
-face_complex is the one builder of a boundary.  It slices and looks up
-only the faces that its face rule names: the entries of a cell whose
-deletion gives a generator.  A sequence complex of one length names its
-smooth interior points, since dropping any other point shortens the
-sequence.  A relative order complex has no length to keep, and a face of
-one of its chains may lie in the subcomplex, so it tries every entry and
-keeps the faces it finds; verify_chain_iso then compares the two routes
-column for column.
+face_complex is the one builder of a boundary.  Given the space of a
+sequence complex of one length, it deletes only the smooth interior
+points, since dropping any other point shortens the sequence: it decides
+each point on the scaled distances as it walks the cell, and slices and
+looks up only the faces it keeps.  A relative order complex has no length
+to keep, and a face of one of its chains may lie in the subcomplex, so
+without a space it tries every entry and keeps the faces it finds;
+verify_chain_iso then compares the two routes column for column.
+ChainComplex.validate sweeps each column once, checking its shape and
+d o d = 0 in the same loop.
 
 homology clears, as persistent homology does (Chen and Kerber, "Persistent
 homology computation with a twist", 2011): it reduces the degrees from the
@@ -35,7 +37,7 @@ from .causal import (
     lightlike_sequences,
     order_complex_pair,
 )
-from .metric import InternalFault, _as_fraction, product, smooth_points
+from .metric import InternalFault, _as_fraction, product
 
 
 class BoundarySquareNonzero(InternalFault):
@@ -87,8 +89,9 @@ def smith_normal_form(columns):
     they were.  The pivot is a nonzero of least absolute value; the other
     rows of its column are reduced against the pivot row.  Once the pivot
     stands alone in its column its own row is reduced modulo the pivot (a
-    column operation that changes no other row); modulo a unit pivot every
-    remainder is zero, so its row and column go.  A nonzero remainder is
+    column operation that changes no other row).  Modulo a unit pivot every
+    remainder is zero, so a unit's row is dropped whole, with no modulo
+    pass, and its column goes with it.  A nonzero remainder is
     smaller than the pivot and so becomes the next pivot; a pivot left alone
     in its row and column is recorded.  The recorded pivots, up to sign, are
     brought into invariant-factor form, and the units that takes away lead
@@ -136,17 +139,19 @@ def smith_normal_form(columns):
                 del rows[k]
         if len(cols[j]) > 1:
             continue
-        for c in [c for c in prow if c != j]:
-            w = prow[c] % p
-            if w:
-                prow[c] = w
-            else:
-                del prow[c]
-                cols[c].discard(i)
-        if len(prow) > 1:
-            continue
+        if p not in (1, -1):
+            for c in [c for c in prow if c != j]:
+                w = prow[c] % p
+                if w:
+                    prow[c] = w
+                else:
+                    del prow[c]
+                    cols[c].discard(i)
+            if len(prow) > 1:
+                continue
+        for c in prow:
+            cols[c].discard(i)
         del rows[i]
-        cols[j].discard(i)
         factors.append(abs(p))
         if units:
             cleared.add(j)
@@ -178,20 +183,20 @@ class ChainComplex:
         return len(self.basis.get(k, ()))
 
     def validate(self):
-        """Check the column shapes, then d o d = 0 column by column: each
-        column of d_k names the d_(k-1) columns whose combination must vanish."""
+        """Check the column shapes and d o d = 0 in one sweep of each column:
+        a column of d_k names the d_(k-1) columns whose combination must
+        vanish."""
+        assert all(len(cols) == self.rank(k) for k, cols in self.boundary.items())
         for k, cols in self.boundary.items():
             n_below = self.rank(k - 1)
-            assert len(cols) == self.rank(k)
-            assert all(v and 0 <= r < n_below for col in cols for r, v in col.items())
-            below = self.boundary.get(k - 1)
-            if not below or not self.rank(k - 2):
-                continue
+            below = self.boundary.get(k - 1) if self.rank(k - 2) else None
             for col in cols:
                 square = {}
                 for r, v in col.items():
-                    for q, w in below[r].items():
-                        square[q] = square.get(q, 0) + v * w
+                    assert v and 0 <= r < n_below
+                    if below:
+                        for q, w in below[r].items():
+                            square[q] = square.get(q, 0) + v * w
                 if any(square.values()):
                     raise BoundarySquareNonzero("d o d != 0 out of degree %d" % k)
         return True
@@ -277,16 +282,17 @@ def homology(cc):
     return HomologySummary.build(betti, {k - 1: diag for k, diag in diags.items()})
 
 
-def face_complex(cells, faces=None):
+def face_complex(cells, space=None):
     """Chain complex generated by cells, a cell of n entries in degree n - 1.
 
     The boundary deletes entry i with sign (-1)^i and keeps the face exactly
-    when it is itself a generator; every other face counts as zero.  faces,
-    the face rule, names the entries of a cell whose deletion gives a
-    generator, and each of those faces once; the deletion of any other
-    entry is never sliced or looked up.  Without a rule every entry is
-    tried.  No cell may hold one entry twice in a row, so that no two
-    deletions give the same face.
+    when it is itself a generator; every other face counts as zero.  Given
+    a space, whose sequences of one length are the cells, only the smooth
+    interior points are deleted (metric.is_smooth, decided here on the
+    scaled distances): their faces keep the length and so are generators,
+    and the deletion of any other entry is never sliced or looked up.
+    Without a space every entry is tried.  No cell may hold one entry twice
+    in a row, so that no two deletions give the same face.
     """
     basis = {}
     for s in cells:
@@ -295,20 +301,23 @@ def face_complex(cells, faces=None):
     for k, gens in basis.items():
         gens.sort()
         index[k] = {s: i for i, s in enumerate(gens)}
+    d = space._scaled[1] if space is not None else None
     boundary = {}
     for k, gens in basis.items():
         below = index.get(k - 1, {})
         cols = boundary[k] = []
         for s in gens:
             col = {}
-            if faces is None:
+            if d is None:
                 for i in range(len(s)):
                     r = below.get(s[:i] + s[i + 1:])
                     if r is not None:
                         col[r] = -1 if i & 1 else 1
             else:
-                for i in faces(s):
-                    col[below[s[:i] + s[i + 1:]]] = -1 if i & 1 else 1
+                for i in range(1, k):
+                    dx, y, z = d[s[i - 1]], s[i], s[i + 1]
+                    if dx[y] + d[y][z] == dx[z]:
+                        col[below[s[:i] + s[i + 1:]]] = -1 if i & 1 else 1
             cols.append(col)
     return ChainComplex(basis, boundary)
 
@@ -319,14 +328,12 @@ def magnitude_chain_complex(space, a, b, l):
     Degree-k generators are the (k+1)-point sequences; the boundary drops
     one point at a time with alternating signs.  A drop that shortens the
     sequence leaves no generator and so counts as zero: only the smooth
-    points are dropped (metric.smooth_points), and every endpoint drop or
-    other interior drop is skipped unsliced.  A smooth drop keeps the
-    length, and its face is a generator: its points stay distinct, as
+    points are dropped (face_complex given the space), and every endpoint
+    drop or other interior drop is skipped unsliced.  A smooth drop keeps
+    the length, and its face is a generator: its points stay distinct, as
     d(x, z) > 0 for the neighbours x, z of a smooth point.
     """
-    return face_complex(
-        lightlike_sequences(space, a, b, l), lambda s: smooth_points(space, s)
-    )
+    return face_complex(lightlike_sequences(space, a, b, l), space)
 
 
 def relative_chain_complex(pair):

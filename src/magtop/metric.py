@@ -264,15 +264,6 @@ def is_smooth(space, seq, k):
     return d[seq[k - 1]][seq[k]] + d[seq[k]][seq[k + 1]] == d[seq[k - 1]][seq[k + 1]]
 
 
-def smooth_points(space, seq):
-    """The indices k of seq with is_smooth(space, seq, k), in order."""
-    d = space._scaled[1]
-    return [
-        k for k in range(1, len(seq) - 1)
-        if d[seq[k - 1]][seq[k]] + d[seq[k]][seq[k + 1]] == d[seq[k - 1]][seq[k + 1]]
-    ]
-
-
 def four_cuts(space):
     """The threshold m_X: the least length of an obstruction quadruple.
 

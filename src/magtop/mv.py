@@ -19,7 +19,7 @@ from .homology import (
     homology_table,
     magnitude_homology_total,
 )
-from .metric import InternalFault, _as_fraction, is_smooth, restriction, smooth_points
+from .metric import InternalFault, _as_fraction, is_smooth, restriction
 
 
 class FaceEscapedInterior(InternalFault):
@@ -61,10 +61,11 @@ def interior_part_betti(gspec, lmax):
     length the pair achieves (one search of lengths per source, as in
     homology_table), the generators are full-length sequences meeting h∖K,
     and boundary faces either shorten or keep touching.  A face stays
-    full-length when the dropped point is smooth, so the complex takes the
-    smooth-interior face rule; if that point were the sequence's only one
-    in h∖K, the face would leave the interior, which the gate inequality
-    rules out, so it raises FaceEscapedInterior instead of counting as zero.
+    full-length when the dropped point is smooth, so face_complex is given
+    h and deletes only smooth points; if that point were the sequence's
+    only one in h∖K, the face would leave the interior, which the gate
+    inequality rules out, so it raises FaceEscapedInterior instead of
+    counting as zero.
     """
     h = gspec.h
     lmax = _as_fraction(lmax)
@@ -83,7 +84,7 @@ def interior_part_betti(gspec, lmax):
                 if outside:
                     cells.append(seq)
             if cells:
-                cc = face_complex(cells, lambda s: smooth_points(h, s))
+                cc = face_complex(cells, h)
                 row[l] = homology(cc)
     return table
 

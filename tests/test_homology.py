@@ -41,7 +41,6 @@ from magtop.metric import (
     from_weighted_graph,
     is_smooth,
     random_metric_space,
-    smooth_points,
 )
 from lengths import seq_length
 from simplicial import RP2, complex_of, moore_space
@@ -118,8 +117,9 @@ def sympy_diag(mat):
     return [abs(ref[i, i]) for i in range(min(ref.shape)) if ref[i, i] != 0]
 
 
-def test_snf_matches_sympy_on_random_matrices():
-    rng = random.Random(5)
+def random_matrices(rng):
+    """Small dense integer matrices, sparse +-1 ones like boundaries, and
+    diagonal torsion hidden by unimodular moves."""
     mats = []
     for _ in range(25):
         rows = rng.randint(1, 5)
@@ -139,7 +139,12 @@ def test_snf_matches_sympy_on_random_matrices():
         square = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
         mats.append(scrambled(square, rng, 12))
         mats.append(scrambled([row + [0] for row in square], rng, 20))
-    for mat in mats:
+    return mats
+
+
+def test_snf_matches_sympy_on_random_matrices():
+    rng = random.Random(5)
+    for mat in random_matrices(rng):
         assert list(snf_diag(mat)) == sympy_diag(mat), mat
     hidden = scrambled([[2, 0, 0], [0, 4, 0], [0, 0, 6]], rng, 30)
     assert snf_diag(hidden) == (2, 2, 12)
@@ -151,6 +156,28 @@ def test_chain_complex_rejects_nonsquare_zero():
             {0: ["a"], 1: ["b"], 2: ["c"]},
             {1: [{0: 1}], 2: [{0: 1}]},
         )
+
+
+def test_validate_rejects_malformed_columns():
+    # the shape checks are asserts: a stored zero, a row at or past the rank
+    # below and a wrong column count each fail, in d_2, which has a d o d
+    # check, and in d_1, into degree 0, which has none; each fault keeps
+    # d o d = 0, so only the shape check can catch it
+    basis = {0: ["p"], 1: ["e", "f", "g"], 2: ["t"]}
+    d1, d2 = [{0: 1}, {0: 1}, {0: 1}], [{0: 1, 1: -1}]
+    assert ChainComplex(basis, {1: d1, 2: d2}).validate()
+    faults = [
+        {1: d1[:2] + [{0: 0}], 2: d2},
+        {1: d1, 2: [{0: 1, 1: -1, 2: 0}]},
+        {1: d1[:2] + [{1: 1}], 2: d2},
+        {1: d1, 2: [{0: 1, 1: -1, 3: 1}]},
+        {1: d1[:2], 2: d2},
+        {1: d1, 2: d2 + [{}]},
+    ]
+    if __debug__:
+        for boundary in faults:
+            with pytest.raises(AssertionError):
+                ChainComplex(basis, boundary)
 
 
 def test_homology_reads_torsion_from_snf():
@@ -394,8 +421,10 @@ FACE_RULE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FACE_RULE_CASES))
 def test_smooth_face_rule_matches_every_entry_rule(case):
-    # the smooth-interior rule skips only deletions that give no generator:
-    # the rule of every entry, which looks each face up, is its oracle
+    # given the space, face_complex deletes only the smooth interior points,
+    # which it decides itself: each column holds exactly the faces at the
+    # is_smooth indices, and the rule of every entry, which looks each face
+    # up, is the oracle of the whole complex
     make, lmax = FACE_RULE_CASES[case]
     space = make()
     sizes = Counter()
@@ -403,15 +432,21 @@ def test_smooth_face_rule_matches_every_entry_rule(case):
         for b in range(space.n):
             for l in pair_achievable_lengths(space, a, b, F(lmax)):
                 cells = lightlike_sequences(space, a, b, l)
-                for s in cells:
-                    want = [i for i in range(len(s)) if is_smooth(space, s, i)]
-                    assert smooth_points(space, s) == want
-                    sizes[min(len(s), 3)] += 1
-                smooth = face_complex(cells, lambda s: smooth_points(space, s))
+                smooth = face_complex(cells, space)
                 full = face_complex(cells)
                 assert smooth.basis == full.basis, (case, a, b, l)
                 assert smooth.boundary == full.boundary, (case, a, b, l)
                 assert magnitude_chain_complex(space, a, b, l).boundary == full.boundary
+                for k, gens in smooth.basis.items():
+                    below = smooth.basis.get(k - 1, [])
+                    for s, col in zip(gens, smooth.boundary[k]):
+                        want = {
+                            s[:i] + s[i + 1:]: (-1) ** i
+                            for i in range(len(s))
+                            if is_smooth(space, s, i)
+                        }
+                        assert {below[r]: v for r, v in col.items()} == want, (case, s)
+                        sizes[min(len(s), 3)] += 1
     # l = 0 gives the one-point sequences, l = d(a, b) the two-point ones
     assert sizes[1] == space.n
     assert sizes[2] == sum(
@@ -420,15 +455,15 @@ def test_smooth_face_rule_matches_every_entry_rule(case):
     assert sizes[3]
 
 
-def test_face_rule_skips_deletions_outside_it():
-    # a deletion outside the rule is never looked up, even when its face is
-    # a cell; without a rule every entry is tried, and a face that is not a
-    # cell counts as zero
-    cells = [("x",), ("y",), ("x", "y")]
-    assert face_complex(cells).boundary == {0: [{}, {}], 1: [{0: -1, 1: 1}]}
-    first = face_complex(cells, lambda s: [0] if len(s) == 2 else [])
-    assert first.boundary == {0: [{}, {}], 1: [{1: 1}]}
-    assert face_complex(cells, lambda s: []).boundary[1] == [{}]
+def test_space_route_skips_a_non_smooth_deletion_whose_face_is_a_cell():
+    # on an equilateral triangle the middle point of (0, 1, 2) is not
+    # smooth, yet deleting it gives (0, 2), a cell here: given the space,
+    # that entry is never looked up, and tried with every entry it is kept
+    k3 = fixture_space("k3")
+    assert not is_smooth(k3, (0, 1, 2), 1)
+    cells = [(0, 2), (0, 1, 2)]
+    assert face_complex(cells).boundary == {1: [{}], 2: [{0: -1}]}
+    assert face_complex(cells, k3).boundary == {1: [{}], 2: [{}]}
 
 
 SNF_ORACLE_CASES = {
@@ -610,6 +645,26 @@ def test_a_prefix_ended_at_the_first_recorded_non_unit_fails(monkeypatch):
     assert mutant(two_three().boundary[2]).cleared == frozenset({1})
     monkeypatch.setattr(importlib.import_module("magtop.homology"), "smith_normal_form", mutant)
     assert homology(two_three()) == HomologySummary.build({}, {0: [3]})
+
+
+# the unit branch's mutants: every pivot's row dropped whole, not only a
+# unit's, and a unit's row dropped with its keys left in cols
+UNIT_ROW_MUTANTS = (
+    (("        if p not in (1, -1):\n", "        if False:\n"),),
+    (("        for c in prow:\n            cols[c].discard(i)\n", "        cols[j].discard(i)\n"),),
+)
+
+
+@pytest.mark.parametrize("edits", UNIT_ROW_MUTANTS)
+def test_unit_row_mutants_fail_the_sympy_cross_check(edits):
+    mutant = mutated_snf(edits)
+    wrong = 0
+    for mat in random_matrices(random.Random(5)):
+        try:
+            wrong += list(mutant(columns(mat)).diag) != sympy_diag(mat)
+        except KeyError:  # a row left in cols after it was dropped
+            wrong += 1
+    assert wrong, edits
 
 
 def random_integer_complex(rng):
